@@ -16,12 +16,11 @@ from .residual import (CERTAIN_FALSE, CERTAIN_TRUE, UNDEFINED, FactEncoding,
                        ResidualProgram, decode_probabilistic_facts,
                        encode_probabilistic_facts, extract_residual)
 from .stable import (AnswerSet, UndefinedAtomLimitError, enumerate_answer_sets,
-                     gl_reduct, is_stable, iter_answer_sets, least_model,
-                     project_answer_sets)
+                     iter_answer_sets, project_answer_sets)
 from .syntax import (Atom, Literal, ParseError, ProbFact, Program,
                      ProgramError, Query, Rule, Term, const, parse_program,
                      parse_query, render_program, var)
-from .wfs import (ThreeValuedInterpretation, dynamically_stratified, gfp_of,
-                  lfp_ot, wf_reduct, wfm)
+from .wfs import (ThreeValuedInterpretation, dynamically_stratified, wf_reduct,
+                  wfm)
 
 __version__ = "0.1.0"

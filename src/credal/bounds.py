@@ -22,9 +22,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from . import stable
 from .ground import GroundProgram, OlonError, build_call_graph, detect_olon, ground_program
 from .residual import encode_probabilistic_facts, extract_residual, CERTAIN_TRUE, CERTAIN_FALSE
-from .stable import iter_answer_sets
+from .stable import SolveTimeout, iter_answer_sets
 from .syntax import Program, Query, Rule
 
 DEFAULT_MAX_PROB_FACTS = 25
@@ -49,10 +50,6 @@ class CredalUndefinedError(Exception):
         names = ", ".join(str(a) for a in atoms) or "(empty)"
         super().__init__(f"credal semantics undefined: world {names} has no answer set")
         self.world = world
-
-
-class SolveTimeout(Exception):
-    """Cooperative per-query time budget exceeded."""
 
 
 @dataclass(frozen=True)
@@ -137,8 +134,8 @@ def f_transform(value: InnerValue) -> OuterValue:
 
 
 class _WorldSolver:
-    """Shared world iteration: one base grounding, then per world the
-    selected fact atoms are re-attached as plain facts."""
+    """Shared world iteration: one base grounding, indexed once, then per
+    world the selected fact atoms seed the answer-set search."""
 
     def __init__(self, program: Program, query: Query,
                  max_prob_facts: int, max_undefined: int,
@@ -157,8 +154,10 @@ class _WorldSolver:
         fact_rules = [Rule(pf.atom) for pf in program.prob_facts]
         base = ground_program(Program((), program.rules + tuple(fact_rules)))
         fact_set = set(fact_rules)
-        self.core_rules = tuple(r for r in base.rules if r not in fact_set)
-        self.herbrand = base.herbrand_base | {pf.atom for pf in program.prob_facts}
+        core = GroundProgram(tuple(r for r in base.rules if r not in fact_set),
+                             base.herbrand_base | {pf.atom for pf in program.prob_facts})
+        self.index = stable.IndexedProgram(core)
+        self.fact_ids = [self.index.ids[pf.atom] for pf in program.prob_facts]
         self.n = len(program.prob_facts)
 
     def worlds(self):
@@ -166,10 +165,9 @@ class _WorldSolver:
             if self.deadline is not None and self.clock() > self.deadline:
                 raise SolveTimeout(f"time budget exceeded at world {index} of {1 << self.n}")
             world = World.from_index(index, self.n)
-            facts = tuple(Rule(pf.atom) for pf, sel
-                          in zip(self.program.prob_facts, world.selection) if sel)
-            g = GroundProgram(self.core_rules + facts, self.herbrand)
-            answer_sets = list(iter_answer_sets(g, max_undefined=self.max_undefined))
+            facts = [i for i, sel in zip(self.fact_ids, world.selection) if sel]
+            answer_sets = list(iter_answer_sets(self.index, facts, self.max_undefined,
+                                                self.deadline, self.clock))
             if not answer_sets:
                 raise CredalUndefinedError(
                     world, [pf.atom for pf, sel

@@ -1,20 +1,23 @@
-"""Stable models: reduct, stability check, and enumeration.
+"""Stable models by splitting along the atom dependency graph.
 
-Enumeration restricts the search to candidates of the form
-``t(WFM) + (subset of undefined atoms)``, which covers every stable model
-because the well-founded model is a lower bound of each of them.  The
-undefined part is explored component by component along the atom dependency
-graph, so independent choice loops multiply instead of exploding the subset
-lattice; every emitted candidate still has to pass the reduct/least-model
-stability check against the full program.
+Every stable model contains the well-founded model's true atoms and misses
+its false ones, so the search covers only the undefined atoms, on their
+rules with every decided literal evaluated away.  Those atoms split into
+strongly connected components in dependency order.  By the splitting-set
+theorem (Lifschitz & Turner 1994) the stable models are exactly the
+compositions of one local answer set per component, each taken with the
+earlier components' choices fixed, so no composed candidate needs a
+second, global stability check.  A local answer set is a subset of the
+component's atoms that equals the least model of the component's rules
+reduced by it.
 """
 
 from __future__ import annotations
 
 from ._util import strongly_connected_components
 from .ground import GroundProgram
-from .syntax import Atom, Literal, Rule
-from .wfs import IndexedProgram, _wfm_ids
+from .syntax import Atom
+from .wfs import IndexedProgram, _wfm_ids, least_model, watch_list
 
 AnswerSet = frozenset  # an answer set is a frozenset of ground Atoms
 
@@ -31,180 +34,88 @@ class UndefinedAtomLimitError(Exception):
         self.limit = limit
 
 
-def gl_reduct(g: GroundProgram, interpretation: frozenset[Atom]) -> GroundProgram:
-    """Rules whose body holds in the interpretation, negative literals
-    removed; the result is a positive program."""
-    kept = []
-    for rule in g.rules:
-        pos = rule.positive_body()
-        neg = rule.negative_body()
-        if all(b in interpretation for b in pos) and \
-           not any(c in interpretation for c in neg):
-            kept.append(Rule(rule.head, tuple(Literal(b) for b in pos)))
-    return GroundProgram(tuple(sorted(set(kept), key=str)), g.herbrand_base)
+class SolveTimeout(Exception):
+    """Cooperative per-query time budget exceeded."""
 
 
-def least_model(g: GroundProgram) -> frozenset[Atom]:
-    """Least fixpoint of rule application; input must be negation-free."""
-    for rule in g.rules:
-        if any(l.negated for l in rule.body):
-            raise ValueError(f"least_model requires a positive program; "
-                             f"rule '{rule}' contains negation")
-    derived: set[Atom] = set()
-    changed = True
-    while changed:
-        changed = False
-        for rule in g.rules:
-            if rule.head not in derived and \
-               all(l.atom in derived for l in rule.body):
-                derived.add(rule.head)
-                changed = True
-    return frozenset(derived)
-
-
-def is_stable(g: GroundProgram, interpretation: frozenset[Atom]) -> bool:
-    return frozenset(interpretation) == least_model(gl_reduct(g, frozenset(interpretation)))
-
-
-def _is_stable_ids(idx: IndexedProgram, candidate: set[int]) -> bool:
-    kept = [(h, pos) for h, pos, neg in idx.rules
-            if all(b in candidate for b in pos) and not any(c in candidate for c in neg)]
-    derived: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, pos in kept:
-            if head not in derived and all(b in derived for b in pos):
-                derived.add(head)
-                changed = True
-    return derived == candidate
-
-
-def _reduced_undefined_rules(idx, true_ids, false_ids, undef_set):
-    """Rules for undefined atoms with decided literals evaluated away."""
-    reduced = []
-    for head, pos, neg in idx.rules:
-        if head not in undef_set:
+def _evaluate_decided(rules, val):
+    """The rules with every literal that ``val`` decides evaluated away: a
+    rule with a false positive or a true negative literal goes, and true
+    positive and false negative literals leave the body.  ``val`` holds
+    True, False or None (undecided) per atom id."""
+    out = []
+    for head, pos, neg in rules:
+        if any(val[b] is False for b in pos) or any(val[c] is True for c in neg):
             continue
-        keep_pos, keep_neg = [], []
-        drop = False
-        for b in pos:
-            if b in false_ids:
-                drop = True
-                break
-            if b not in true_ids:
-                keep_pos.append(b)
-        if drop:
-            continue
-        for c in neg:
-            if c in true_ids:
-                drop = True
-                break
-            if c not in false_ids:
-                keep_neg.append(c)
-        if drop:
-            continue
-        reduced.append((head, tuple(keep_pos), tuple(keep_neg)))
-    return reduced
+        out.append((head, tuple(b for b in pos if val[b] is None),
+                    tuple(c for c in neg if val[c] is None)))
+    return out
 
 
-def _local_answer_sets(catoms, crules, comp_set, val):
-    """Stable subsets of one dependency component, with atoms of earlier
-    components already fixed in ``val``."""
-    simplified = []
-    for head, pos, neg in crules:
-        keep_pos, keep_neg = [], []
-        drop = False
-        for b in pos:
-            if b in comp_set:
-                keep_pos.append(b)
-            elif not val[b]:
-                drop = True
-                break
-        if drop:
-            continue
-        for c in neg:
-            if c in comp_set:
-                keep_neg.append(c)
-            elif val[c]:
-                drop = True
-                break
-        if drop:
-            continue
-        simplified.append((head, keep_pos, keep_neg))
-
+def _local_answer_sets(catoms, rules, deadline, clock):
+    """Subsets of one component's atoms that equal the least model of the
+    component's rules reduced by them; earlier components are already
+    evaluated out of ``rules``."""
+    watch = watch_list(rules, catoms)
     out = []
     for mask in range(1 << len(catoms)):
-        chosen = {catoms[j] for j in range(len(catoms)) if mask >> j & 1}
-        derived: set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            for head, pos, neg in simplified:
-                if head not in derived and not (chosen & set(neg)) and \
-                   all(b in derived for b in pos):
-                    derived.add(head)
-                    changed = True
-        if derived == chosen:
+        # one clock read per 1024 candidates keeps it out of small components
+        if mask & 1023 == 1023 and deadline is not None and clock() > deadline:
+            raise SolveTimeout(f"time budget exceeded in a dependency "
+                               f"component of {len(catoms)} atoms")
+        chosen = {a for j, a in enumerate(catoms) if mask >> j & 1}
+        if least_model(rules, watch, chosen, ()) == chosen:
             out.append(chosen)
     return out
 
 
-def iter_answer_sets(g: GroundProgram, max_undefined: int = 24):
-    """Yield every stable model, in a deterministic order."""
-    idx = IndexedProgram(g)
-    true_ids, false_ids = _wfm_ids(idx)
-    undef = sorted(set(range(len(idx.atoms))) - true_ids - false_ids)
+def iter_answer_sets(index: IndexedProgram, facts, max_undefined: int,
+                     deadline: float | None, clock):
+    """Yield every stable model of the indexed program plus the atom ids
+    ``facts``, in a deterministic order.  The search checks ``clock()``
+    against ``deadline`` (None for no budget) and raises ``SolveTimeout``."""
+    true_ids, possible = _wfm_ids(index, facts)
+    undef = sorted(possible - true_ids)
     if len(undef) > max_undefined:
         raise UndefinedAtomLimitError(len(undef), max_undefined)
-    undef_set = set(undef)
 
-    reduced = _reduced_undefined_rules(idx, true_ids, false_ids, undef_set)
+    val: list[bool | None] = [False] * len(index.atoms)
+    for i in true_ids:
+        val[i] = True
+    for i in undef:
+        val[i] = None
+    reduced = _evaluate_decided([r for r in index.rules if val[r[0]] is None], val)
     adjacency = {a: [] for a in undef}
     for head, pos, neg in reduced:
         adjacency[head].extend(pos)
         adjacency[head].extend(neg)
-    comps = strongly_connected_components(undef, adjacency)
-    comps = [sorted(c) for c in comps]
-    comp_index = {}
-    for ci, comp in enumerate(comps):
-        for a in comp:
-            comp_index[a] = ci
+    comps = [sorted(c) for c in strongly_connected_components(undef, adjacency)]
+    comp_index = {a: ci for ci, comp in enumerate(comps) for a in comp}
     rules_by_comp = [[] for _ in comps]
     for rule in reduced:
         rules_by_comp[comp_index[rule[0]]].append(rule)
-
-    val = [None] * len(idx.atoms)
-    for i in true_ids:
-        val[i] = True
-    for i in false_ids:
-        val[i] = False
-
-    chosen_total: set[int] = set()
+    true_atoms = index.to_atoms(true_ids)
 
     def rec(ci):
         if ci == len(comps):
-            candidate = true_ids | chosen_total
-            if _is_stable_ids(idx, candidate):
-                yield frozenset(idx.atoms[i] for i in candidate)
+            yield true_atoms | index.to_atoms(a for a in undef if val[a])
             return
         catoms = comps[ci]
-        comp_set = set(catoms)
-        for choice in _local_answer_sets(catoms, rules_by_comp[ci], comp_set, val):
+        crules = _evaluate_decided(rules_by_comp[ci], val)
+        for choice in _local_answer_sets(catoms, crules, deadline, clock):
             for a in catoms:
                 val[a] = a in choice
-            chosen_total.update(choice)
             yield from rec(ci + 1)
-            chosen_total.difference_update(choice)
-            for a in catoms:
-                val[a] = None
+        for a in catoms:
+            val[a] = None
 
     yield from rec(0)
 
 
 def enumerate_answer_sets(g: GroundProgram, max_undefined: int = 24) -> frozenset:
     """All stable models of the ground program, as a set of atom sets."""
-    return frozenset(iter_answer_sets(g, max_undefined=max_undefined))
+    return frozenset(iter_answer_sets(IndexedProgram(g), (), max_undefined,
+                                      None, None))
 
 
 def project_answer_sets(answer_sets, atoms: frozenset[Atom]) -> frozenset:

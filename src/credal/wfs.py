@@ -1,15 +1,18 @@
-"""Well-founded model via the iterated fixpoint construction.
+"""Well-founded model as an alternating fixpoint on one least-model kernel.
 
-One step of the iteration derives, relative to the knowledge accumulated so
-far, the least set of atoms provable from it and the greatest set of atoms
-refutable from it; both sets are folded back in and the step repeats until
-nothing changes.  On a finite ground program termination is immediate from
-monotonicity.
+``least_model`` derives, by counter-based forward chaining, every atom that
+the rules prove when the rules with a negative literal on a given
+``blocked`` set are switched off (Dowling & Gallier 1984).  Applied to a
+set I of atoms it is the operator Gamma(I), the least model of the reduct
+by I.  Gamma is antimonotone, so alternating it from the empty set
+(Van Gelder 1993) grows an underestimate of the true atoms and shrinks an
+overestimate of the possibly-true ones until both stop moving: the first
+is the well-founded model's true set, and everything outside the second is
+its false set.  The stable-model search reuses the same kernel.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from .ground import GroundProgram
@@ -43,10 +46,21 @@ EMPTY_INTERPRETATION = ThreeValuedInterpretation(frozenset(), frozenset())
 # ---------------------------------------------------------------------------
 # indexed form shared with the stable-model module
 
-class IndexedProgram:
-    """Ground program with atoms interned to ints, for the fixpoint loops."""
+def watch_list(rules, atoms) -> dict[int, list[int]]:
+    """Atom -> indices of the rules with that atom in the positive body
+    (once per occurrence), for every atom in ``atoms``."""
+    watch: dict[int, list[int]] = {a: [] for a in atoms}
+    for ri, (_, pos, _) in enumerate(rules):
+        for b in pos:
+            watch[b].append(ri)
+    return watch
 
-    __slots__ = ("atoms", "ids", "rules", "by_head")
+
+class IndexedProgram:
+    """Ground program with atoms interned to ints, for the least-model
+    kernel."""
+
+    __slots__ = ("atoms", "ids", "rules", "watch")
 
     def __init__(self, g: GroundProgram):
         self.atoms: list[Atom] = sorted(g.herbrand_base, key=str)
@@ -58,89 +72,56 @@ class IndexedProgram:
              tuple(ids[l.atom] for l in r.body if l.negated))
             for r in g.rules
         ]
-        self.by_head: dict[int, list[int]] = {}
-        for ri, (h, _, _) in enumerate(self.rules):
-            self.by_head.setdefault(h, []).append(ri)
+        self.watch = watch_list(self.rules, range(len(self.atoms)))
 
     def to_atoms(self, ids) -> frozenset[Atom]:
         return frozenset(self.atoms[i] for i in ids)
 
-    def id_set(self, atoms) -> set[int]:
-        # atoms outside the base cannot occur in any rule; ignore them
-        return {self.ids[a] for a in atoms if a in self.ids}
 
+def least_model(rules, watch, blocked, seeds) -> set[int]:
+    """The seeds plus every head derivable from them by the rules whose
+    negative body misses ``blocked``.
 
-def _lfp_ot(idx: IndexedProgram, true_ids: set[int], false_ids: set[int]) -> set[int]:
-    """Least fixpoint of one provability step: atoms not already true whose
-    derivation needs only the given knowledge and earlier iterates."""
-    derived: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for head, pos, neg in idx.rules:
-            if head in true_ids or head in derived:
-                continue
-            if all(b in true_ids or b in derived for b in pos) and \
-               all(c in false_ids for c in neg):
-                derived.add(head)
-                changed = True
+    Each rule counts the positive body atoms not yet derived and fires when
+    the count reaches zero, so every rule is looked at once per body atom:
+    linear in the size of the rules.  ``watch`` must map every atom that
+    can be derived (see ``watch_list``)."""
+    missing = [len(pos) for _, pos, _ in rules]
+    derived = set(seeds)
+    queue = list(derived)
+    for head, pos, neg in rules:
+        if not pos and head not in derived and blocked.isdisjoint(neg):
+            derived.add(head)
+            queue.append(head)
+    while queue:
+        for ri in watch[queue.pop()]:
+            missing[ri] -= 1
+            if not missing[ri]:
+                head, _, neg = rules[ri]
+                if head not in derived and blocked.isdisjoint(neg):
+                    derived.add(head)
+                    queue.append(head)
     return derived
 
 
-def _gfp_of(idx: IndexedProgram, true_ids: set[int], false_ids: set[int]) -> set[int]:
-    """Greatest fixpoint of one refutability step, iterated downward from
-    every atom not known true."""
-    candidate = {i for i in range(len(idx.atoms)) if i not in true_ids}
-    changed = True
-    while changed:
-        changed = False
-        for atom in list(candidate):
-            for ri in idx.by_head.get(atom, ()):
-                _, pos, neg = idx.rules[ri]
-                if all(b not in false_ids and b not in candidate for b in pos) and \
-                   all(c not in true_ids for c in neg):
-                    # some rule for the atom can still fire: not refutable
-                    candidate.discard(atom)
-                    changed = True
-                    break
-    return {a for a in candidate if a not in false_ids}
-
-
-def _wfm_ids(idx: IndexedProgram, debug: bool = False) -> tuple[set[int], set[int]]:
+def _wfm_ids(idx: IndexedProgram, facts) -> tuple[set[int], set[int]]:
+    """(true, possibly true) atom ids of the well-founded model of the
+    indexed program plus the atoms ``facts``."""
     true_ids: set[int] = set()
-    false_ids: set[int] = set()
-    iteration = 0
     while True:
-        new_true = _lfp_ot(idx, true_ids, false_ids)
-        new_false = _gfp_of(idx, true_ids, false_ids)
-        iteration += 1
-        if debug:
-            print(f"# ifp iteration {iteration}: +{len(new_true)} true, "
-                  f"+{len(new_false)} false", file=sys.stderr)
-        if not new_true and not new_false:
-            return true_ids, false_ids
-        true_ids |= new_true
-        false_ids |= new_false
-        if true_ids & false_ids:
-            raise AssertionError("iterated fixpoint produced an inconsistency")
+        possible = least_model(idx.rules, idx.watch, true_ids, facts)
+        new_true = least_model(idx.rules, idx.watch, possible, facts)
+        # the true sets only grow, so equal sizes mean a fixpoint
+        if len(new_true) == len(true_ids):
+            return true_ids, possible
+        true_ids = new_true
 
 
-def lfp_ot(g: GroundProgram, interp: ThreeValuedInterpretation) -> frozenset[Atom]:
-    idx = IndexedProgram(g)
-    return idx.to_atoms(_lfp_ot(idx, idx.id_set(interp.true_set),
-                                idx.id_set(interp.false_set)))
-
-
-def gfp_of(g: GroundProgram, interp: ThreeValuedInterpretation) -> frozenset[Atom]:
-    idx = IndexedProgram(g)
-    return idx.to_atoms(_gfp_of(idx, idx.id_set(interp.true_set),
-                                idx.id_set(interp.false_set)))
-
-
-def wfm(g: GroundProgram, debug: bool = False) -> ThreeValuedInterpretation:
+def wfm(g: GroundProgram) -> ThreeValuedInterpretation:
     """The well-founded model of a ground program."""
     idx = IndexedProgram(g)
-    true_ids, false_ids = _wfm_ids(idx, debug=debug)
+    true_ids, possible = _wfm_ids(idx, ())
+    false_ids = set(range(len(idx.atoms))) - possible
     return ThreeValuedInterpretation(idx.to_atoms(true_ids), idx.to_atoms(false_ids))
 
 

@@ -2,7 +2,8 @@
 
 The oracles deliberately avoid the library's own algorithms: grounding by
 full cross-product instantiation, stable models by filtering every subset
-of the atom base through the reduct definition, treewidth by dynamic
+of the atom base through the reduct definition, the well-founded model by
+the iterated provability/refutability fixpoint, treewidth by dynamic
 programming over vertex subsets, and odd-loop detection by enumerating
 simple cycles.
 """
@@ -14,10 +15,9 @@ import random
 
 from credal.ground import CallGraph, GroundProgram, build_call_graph, ground_program
 from credal.residual import encode_probabilistic_facts
-from credal.stable import gl_reduct, least_model
 from credal.syntax import (Atom, Literal, ProbFact, Program, Query, Rule,
                            const, var)
-from credal.wfs import wfm
+from credal.wfs import EMPTY_INTERPRETATION, ThreeValuedInterpretation, wfm
 from credal.ground import detect_olon
 
 CONSTANTS = [const("a"), const("b"), const("c"), const("d")]
@@ -116,6 +116,89 @@ def naive_ground(program: Program) -> GroundProgram:
             rules.add(Rule(rule.head.substitute(binding),
                            tuple(l.substitute(binding) for l in rule.body)))
     return GroundProgram.from_rules(rules)
+
+
+def gl_reduct(g: GroundProgram, interpretation: frozenset[Atom]) -> GroundProgram:
+    """Rules whose body holds in the interpretation, negative literals
+    removed; the result is a positive program."""
+    kept = []
+    for rule in g.rules:
+        pos = rule.positive_body()
+        neg = rule.negative_body()
+        if all(b in interpretation for b in pos) and \
+           not any(c in interpretation for c in neg):
+            kept.append(Rule(rule.head, tuple(Literal(b) for b in pos)))
+    return GroundProgram(tuple(sorted(set(kept), key=str)), g.herbrand_base)
+
+
+def least_model(g: GroundProgram) -> frozenset[Atom]:
+    """Least fixpoint of rule application; input must be negation-free."""
+    for rule in g.rules:
+        if any(l.negated for l in rule.body):
+            raise ValueError(f"least_model requires a positive program; "
+                             f"rule '{rule}' contains negation")
+    derived: set[Atom] = set()
+    changed = True
+    while changed:
+        changed = False
+        for rule in g.rules:
+            if rule.head not in derived and \
+               all(l.atom in derived for l in rule.body):
+                derived.add(rule.head)
+                changed = True
+    return frozenset(derived)
+
+
+def is_stable(g: GroundProgram, interpretation: frozenset[Atom]) -> bool:
+    return frozenset(interpretation) == least_model(gl_reduct(g, frozenset(interpretation)))
+
+
+def lfp_ot(g: GroundProgram, interp: ThreeValuedInterpretation) -> frozenset[Atom]:
+    """Least fixpoint of one provability step: atoms not already true whose
+    derivation needs only the given knowledge and earlier iterates."""
+    derived: set[Atom] = set()
+    changed = True
+    while changed:
+        changed = False
+        for rule in g.rules:
+            if rule.head in interp.true_set or rule.head in derived:
+                continue
+            if all(b in interp.true_set or b in derived for b in rule.positive_body()) and \
+               all(c in interp.false_set for c in rule.negative_body()):
+                derived.add(rule.head)
+                changed = True
+    return frozenset(derived)
+
+
+def gfp_of(g: GroundProgram, interp: ThreeValuedInterpretation) -> frozenset[Atom]:
+    """Greatest fixpoint of one refutability step, iterated downward from
+    every atom not known true; atoms already false are left out."""
+    candidate = set(g.herbrand_base) - interp.true_set
+    changed = True
+    while changed:
+        changed = False
+        for rule in g.rules:
+            # a rule that can still fire makes its head not refutable
+            if rule.head in candidate and \
+               all(b not in interp.false_set and b not in candidate
+                   for b in rule.positive_body()) and \
+               all(c not in interp.true_set for c in rule.negative_body()):
+                candidate.discard(rule.head)
+                changed = True
+    return frozenset(candidate - interp.false_set)
+
+
+def iterated_wfm(g: GroundProgram) -> list[ThreeValuedInterpretation]:
+    """The stages of the iterated fixpoint, from the empty interpretation
+    to the well-founded model (the last stage repeats the one before)."""
+    stages = [EMPTY_INTERPRETATION]
+    while True:
+        current = stages[-1]
+        stages.append(ThreeValuedInterpretation(
+            current.true_set | lfp_ot(g, current),
+            current.false_set | gfp_of(g, current)))
+        if stages[-1] == current:
+            return stages
 
 
 def subsets_stable_models(g: GroundProgram) -> frozenset:

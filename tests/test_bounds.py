@@ -196,6 +196,23 @@ def test_timeout_raises():
         credal_bounds_enumeration(p, Q_PATH, deadline=2.0, clock=clock)
 
 
+def test_timeout_inside_one_component():
+    # an even ring of 18 atoms is one component with 2^18 candidate subsets
+    # in every world; the budget must stop the search inside world 0
+    ring = "\n".join(f"a{i} :- not a{(i + 1) % 18}." for i in range(18))
+    p = parse_program(ring + "\n0.5::f.\nq :- a0, f.")
+    reads = 0
+
+    def clock():
+        nonlocal reads
+        reads += 1
+        return float(reads)
+
+    with pytest.raises(SolveTimeout):
+        solve_query(p, parse_query("q"), mode="direct", deadline=2.0, clock=clock)
+    assert reads < 10
+
+
 def test_interval_validation():
     with pytest.raises(ValueError):
         ProbabilityInterval(0.8, 0.2)

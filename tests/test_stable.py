@@ -5,14 +5,13 @@ import pytest
 from credal.ground import GroundProgram, ground_program
 from credal.residual import encode_probabilistic_facts
 from credal.stable import (UndefinedAtomLimitError, enumerate_answer_sets,
-                           gl_reduct, is_stable, least_model,
                            project_answer_sets)
 from credal.syntax import Atom, Program, Rule, parse_program, parse_query
 from credal.wfs import dynamically_stratified, wfm
 
 import programs
-from corpus import (random_pasp, subsets_stable_models,
-                    wfm_restricted_stable_models)
+from corpus import (gl_reduct, is_stable, least_model, random_pasp,
+                    subsets_stable_models, wfm_restricted_stable_models)
 
 
 def world_ground(text, selected):
@@ -118,6 +117,22 @@ def test_enumeration_limit_error():
     assert exc.value.count == 26
     assert "26" in str(exc.value)
     assert len(enumerate_answer_sets(g, max_undefined=26)) == 2 ** 13
+
+
+def test_chained_components_need_no_global_check():
+    # undefined atoms split into the components {a,b} < {c,d} < {e,f} <
+    # {g,h}; {c,d} is a positive loop supported only through a, and the
+    # local answer sets of {e,f} and {g,h} depend on the earlier choices
+    g = ground_program(parse_program("""
+        a :- not b.  b :- not a.
+        c :- a.  c :- d.  d :- c.
+        e :- c, not f.  f :- not e.
+        g :- e, not h.  h :- not g.
+    """))
+    assert wfm(g).undefined_in(g.herbrand_base) == g.herbrand_base
+    answer_sets = enumerate_answer_sets(g)
+    assert answer_sets == subsets_stable_models(g)
+    assert len(answer_sets) == 4
 
 
 def test_enumeration_equals_subset_filter_small(corpus200):
