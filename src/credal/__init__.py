@@ -11,7 +11,7 @@ from .bounds import (CredalUndefinedError, InnerValue, OuterValue,
                      f_transform, inner_count, solve_query, world_probability)
 from .ground import (CallGraph, DependencyGraph, GroundProgram, OlonError,
                      OlonWitness, build_call_graph, build_dependency_graph,
-                     detect_olon, ground_program, relevant_subprogram)
+                     detect_olon, ground_program)
 from .residual import (CERTAIN_FALSE, CERTAIN_TRUE, UNDEFINED, FactEncoding,
                        ResidualProgram, decode_probabilistic_facts,
                        encode_probabilistic_facts, extract_residual)

@@ -19,9 +19,6 @@ import time
 import zlib
 from dataclasses import dataclass
 
-import networkx as nx
-from networkx.algorithms.approximation import treewidth_min_fill_in
-
 from .bounds import (DEFAULT_MAX_PROB_FACTS, DEFAULT_MAX_UNDEFINED, ENGINES,
                      CredalUndefinedError, ProbFactLimitError, SolveTimeout,
                      _interval)
@@ -72,9 +69,22 @@ def _int_term(i: int):
 
 
 def _ba_edges(n: int, seed: int) -> list[tuple[int, int]]:
-    """Preferential-attachment edges, oriented low index -> high index."""
-    graph = nx.barabasi_albert_graph(n, 2, seed=seed)
-    return sorted((min(u, v), max(u, v)) for u, v in graph.edges())
+    """Preferential-attachment edges, oriented low index -> high index.
+
+    The same draws as ``networkx.barabasi_albert_graph(n, 2, seed)``: start
+    from the star on nodes 0, 1, 2, then attach each new node to two
+    distinct nodes drawn with probability proportional to their degree."""
+    rng = random.Random(seed)
+    repeated = [0, 0, 1, 2]  # each node once per incident edge
+    edges = [(0, 1), (0, 2)]
+    for source in range(3, n):
+        targets: set[int] = set()
+        while len(targets) < 2:
+            targets.add(rng.choice(repeated))
+        repeated.extend(targets)
+        repeated.extend((source, source))
+        edges.extend((t, source) for t in targets)
+    return sorted(edges)
 
 
 def _grid_edges(k: int) -> list[tuple[int, int]]:
@@ -162,9 +172,11 @@ def ground_rule_count(program: Program) -> int:
     return len(ground_program(with_facts_as_rules(program)).rules)
 
 
-def primal_graph(program: Program) -> nx.Graph:
+def primal_graph(program: Program) -> "networkx.Graph":
     """Undirected co-occurrence graph of the grounding: ground atoms are
     vertices, adjacent when they appear together in some rule."""
+    import networkx as nx  # only the decomposition statistics need it
+
     g = ground_program(with_facts_as_rules(program))
     graph = nx.Graph()
     for atom in sorted(g.herbrand_base, key=str):
@@ -182,6 +194,8 @@ def primal_graph_stats(program: Program) -> DecompositionStats:
 
     The reported width is the decomposition upper bound (max bag size
     minus one)."""
+    from networkx.algorithms.approximation import treewidth_min_fill_in
+
     graph = primal_graph(program)
     if graph.number_of_nodes() == 0:
         return DecompositionStats(0, 0, 0)

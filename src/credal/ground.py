@@ -1,12 +1,16 @@
 """Grounding and the graphs read off a program.
 
-The grounder is bottom-up: it first computes the set of atoms derivable by
-positive rule application alone (negation ignored), then instantiates each
-rule over matches of its positive body against that set.  Rules that are
-already ground are kept verbatim.  Instances whose positive body can never
-be derived are omitted; they cannot fire under any of the semantics
-computed downstream, so the result is interchangeable with the full naive
-grounding.
+The grounder is semi-naive bottom-up evaluation with negation ignored, in
+one pass.  Round 0 fires the rules with an empty positive body; every later
+round joins, for each rule and each positive body position whose
+predicate gained atoms, that position against the previous round's new
+atoms and every other position against all atoms derived so far.  Joins
+probe hash tables keyed on the argument positions already bound.  Each
+match emits its ground rule at once, and a head not derived before joins
+the next round's new atoms.  Rules that are already ground are kept
+verbatim.  Instances whose positive body can never be derived are omitted;
+they cannot fire under any of the semantics computed downstream, so the
+result is interchangeable with the full naive grounding.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._util import strongly_connected_components
-from .syntax import Atom, Program, Query, Rule, Term
+from .syntax import Atom, Literal, Program, Rule, Term
 
 
 class OlonError(Exception):
@@ -51,12 +55,6 @@ class DependencyGraph:
     nodes: frozenset[Atom]
     edges: frozenset[tuple[Atom, Atom]]  # (head atom, body atom)
 
-    def successors(self) -> dict[Atom, list[Atom]]:
-        adj: dict[Atom, list[Atom]] = {a: [] for a in sorted(self.nodes, key=str)}
-        for head, body in sorted(self.edges, key=lambda e: (str(e[0]), str(e[1]))):
-            adj[head].append(body)
-        return adj
-
 
 @dataclass(frozen=True)
 class OlonWitness:
@@ -71,63 +69,86 @@ class OlonWitness:
         return " ".join(parts) + f" {first[0]}/{first[1]}"
 
 
-def _match_atom(pattern: Atom, fact: Atom, binding: dict[str, Term]) -> dict[str, Term] | None:
-    if pattern.signature != fact.signature:
-        return None
-    new = dict(binding)
-    for pat, val in zip(pattern.args, fact.args):
-        if pat.is_variable:
-            bound = new.get(pat.name)
-            if bound is None:
-                new[pat.name] = val
-            elif bound != val:
-                return None
-        elif pat != val:
-            return None
-    return new
+class _AtomIndex:
+    """Ground atoms by signature, with hash tables on argument positions.
+
+    A table maps the arguments at some positions to the atoms carrying
+    them; it is built the first time a join probes those positions and is
+    kept current as atoms are added."""
+
+    def __init__(self):
+        self.by_signature: dict[tuple[str, int], list[Atom]] = {}
+        self.tables: dict[tuple[str, int], dict[tuple[int, ...], dict]] = {}
+
+    def add(self, signature: tuple[str, int], atoms: list[Atom]) -> None:
+        self.by_signature.setdefault(signature, []).extend(atoms)
+        for probe, table in self.tables.get(signature, {}).items():
+            _fill(table, probe, atoms)
+
+    def lookup(self, signature, probe: tuple[int, ...], key: tuple) -> list[Atom]:
+        tables = self.tables.setdefault(signature, {})
+        table = tables.get(probe)
+        if table is None:
+            table = tables[probe] = {}
+            _fill(table, probe, self.by_signature.get(signature, ()))
+        return table.get(key, ())
 
 
-def _match_body(atoms: tuple[Atom, ...], index: dict[tuple[str, int], list[Atom]],
-                binding: dict[str, Term]) -> list[dict[str, Term]]:
-    if not atoms:
-        return [binding]
-    first, rest = atoms[0], atoms[1:]
-    out = []
-    for fact in index.get(first.signature, ()):
-        new = _match_atom(first, fact, binding)
-        if new is not None:
-            out.extend(_match_body(rest, index, new))
-    return out
+def _fill(table: dict, probe: tuple[int, ...], atoms) -> None:
+    for atom in atoms:
+        table.setdefault(tuple(atom.args[p] for p in probe), []).append(atom)
 
 
-def _derivable_atoms(rules: tuple[Rule, ...]) -> dict[tuple[str, int], list[Atom]]:
-    """Least set closed under positive rule application, negation ignored."""
-    index: dict[tuple[str, int], list[Atom]] = {}
-    known: set[Atom] = set()
+def _join_step(atom: tuple[str, tuple[int, ...]], bound: set[int]):
+    """How to match one body atom once the slots in ``bound`` are set: the
+    positions to probe on and their slots, then the (position, slot) pairs
+    a match binds and those it must check, for a variable repeated in it."""
+    predicate, args = atom
+    probe = tuple(p for p, s in enumerate(args) if s in bound)
+    binds, checks = [], []
+    for p, s in enumerate(args):
+        if p in probe:
+            continue
+        if s in bound:
+            checks.append((p, s))
+        else:
+            bound.add(s)
+            binds.append((p, s))
+    return ((predicate, len(args)), probe, tuple(args[p] for p in probe),
+            tuple(binds), tuple(checks))
 
-    def add(atom: Atom) -> bool:
-        if atom in known:
-            return False
-        known.add(atom)
-        index.setdefault(atom.signature, []).append(atom)
-        return True
 
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            pos = rule.positive_body()
-            for binding in _match_body(pos, index, {}):
-                head = rule.head.substitute(binding)
-                if head.is_ground() and add(head):
-                    changed = True
-    for facts in index.values():
-        facts.sort(key=str)
-    return index
+def _compile_rule(rule: Rule):
+    """Number the rule's terms as environment slots (constants pre-filled)
+    and plan one join per positive body position: that position first, as
+    it reads the round's new atoms, then greedily the atom with the most
+    arguments bound."""
+    slots: dict[Term, int] = {}
+
+    def compile_atom(atom: Atom):
+        return atom.predicate, tuple(slots.setdefault(t, len(slots)) for t in atom.args)
+
+    head = compile_atom(rule.head)
+    body = tuple((*compile_atom(l.atom), l.negated) for l in rule.body)
+    env = [None if t.is_variable else t for t in slots]
+    constants = {s for t, s in slots.items() if not t.is_variable}
+    positive = [(pred, args) for pred, args, negated in body if not negated]
+    plans = []
+    for first in range(len(positive)):
+        bound = set(constants)
+        steps = [_join_step(positive[first], bound)]
+        rest = positive[:first] + positive[first + 1:]
+        while rest:
+            best = max(rest, key=lambda a: sum(s in bound for s in a[1]))
+            rest.remove(best)
+            steps.append(_join_step(best, bound))
+        plans.append(tuple(steps))
+    return head, body, env, plans
 
 
 def ground_program(program: Program) -> GroundProgram:
-    """Instantiate every rule over the derivable-atom over-approximation.
+    """Instantiate every rule over matches of its positive body against
+    the atoms derivable by positive rule application (semi-naive).
 
     The input must be a normal program: probabilistic facts are not
     grounded here (encode them first, or turn them into plain facts).
@@ -140,15 +161,47 @@ def ground_program(program: Program) -> GroundProgram:
         if bad:
             raise ValueError(f"unsafe rule '{rule}': variable(s) {sorted(bad)}")
 
-    index = _derivable_atoms(program.rules)
-    ground_rules: set[Rule] = set()
-    for rule in program.rules:
-        if rule.head.is_ground() and all(l.atom.is_ground() for l in rule.body):
-            ground_rules.add(rule)
-            continue
-        for binding in _match_body(rule.positive_body(), index, {}):
-            ground_rules.add(Rule(rule.head.substitute(binding),
-                                  tuple(l.substitute(binding) for l in rule.body)))
+    ground_rules = {r for r in program.rules
+                    if r.head.is_ground() and all(l.atom.is_ground() for l in r.body)}
+    compiled = [_compile_rule(r) for r in program.rules]
+    known: set[Atom] = set()
+    fresh: dict[tuple[str, int], list[Atom]] = {}
+    derived = _AtomIndex()
+
+    def emit(head, body, env):
+        atom = Atom(head[0], tuple(env[s] for s in head[1]))
+        ground_rules.add(Rule(atom, tuple(
+            Literal(Atom(pred, tuple(env[s] for s in args)), negated)
+            for pred, args, negated in body)))
+        if atom not in known:
+            known.add(atom)
+            fresh.setdefault(atom.signature, []).append(atom)
+
+    def join(head, body, env, steps, k, source):
+        if k == len(steps):
+            emit(head, body, env)
+            return
+        signature, probe, probe_slots, binds, checks = steps[k]
+        for atom in source.lookup(signature, probe, tuple(env[s] for s in probe_slots)):
+            args = atom.args
+            for p, s in binds:
+                env[s] = args[p]
+            if all(args[p] == env[s] for p, s in checks):
+                join(head, body, env, steps, k + 1, derived)
+
+    for head, body, env, plans in compiled:
+        if not plans:  # empty positive body: ground by safety, fires once
+            emit(head, body, env)
+    while fresh:
+        delta = _AtomIndex()
+        for signature, atoms in fresh.items():
+            delta.add(signature, atoms)
+            derived.add(signature, atoms)
+        fresh = {}
+        for head, body, env, plans in compiled:
+            for steps in plans:
+                if steps[0][0] in delta.by_signature:
+                    join(head, body, env, steps, 0, delta)
     return GroundProgram.from_rules(ground_rules)
 
 
@@ -250,7 +303,9 @@ def build_dependency_graph(g: GroundProgram) -> DependencyGraph:
 
 def reachable_atoms(dep: DependencyGraph, start: Atom) -> frozenset[Atom]:
     """Atoms reachable from ``start`` (reflexively) along dependency edges."""
-    adj = dep.successors()
+    adj: dict[Atom, list[Atom]] = {}
+    for head, body in dep.edges:
+        adj.setdefault(head, []).append(body)
     seen = {start}
     frontier = [start]
     while frontier:
@@ -262,13 +317,6 @@ def reachable_atoms(dep: DependencyGraph, start: Atom) -> frozenset[Atom]:
                     nxt.append(succ)
         frontier = nxt
     return frozenset(seen)
-
-
-def relevant_subprogram(g: GroundProgram, query: Query) -> GroundProgram:
-    """Rules whose head the query reaches in the dependency graph."""
-    dep = build_dependency_graph(g)
-    keep = reachable_atoms(dep, query.atom)
-    return GroundProgram.from_rules(r for r in g.rules if r.head in keep)
 
 
 def dot_call_graph(graph: CallGraph) -> str:

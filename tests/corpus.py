@@ -13,7 +13,9 @@ from __future__ import annotations
 import itertools
 import random
 
-from credal.ground import CallGraph, GroundProgram, build_call_graph, ground_program
+from credal.ground import (CallGraph, GroundProgram, build_call_graph,
+                           build_dependency_graph, ground_program,
+                           reachable_atoms)
 from credal.residual import encode_probabilistic_facts
 from credal.syntax import (Atom, Literal, ProbFact, Program, Query, Rule,
                            const, var)
@@ -116,6 +118,20 @@ def naive_ground(program: Program) -> GroundProgram:
             rules.add(Rule(rule.head.substitute(binding),
                            tuple(l.substitute(binding) for l in rule.body)))
     return GroundProgram.from_rules(rules)
+
+
+def derivable_ground(program: Program) -> GroundProgram:
+    """Rule-for-rule oracle for ``ground_program``: the rules already
+    ground, verbatim, plus every naive instance whose positive body lies in
+    the least model of the negation-free naive grounding."""
+    naive = naive_ground(program)
+    derivable = least_model(GroundProgram.from_rules(
+        Rule(r.head, tuple(Literal(b) for b in r.positive_body())) for r in naive.rules))
+    verbatim = [r for r in program.rules
+                if r.head.is_ground() and all(l.atom.is_ground() for l in r.body)]
+    return GroundProgram.from_rules(
+        verbatim + [r for r in naive.rules
+                    if all(b in derivable for b in r.positive_body())])
 
 
 def gl_reduct(g: GroundProgram, interpretation: frozenset[Atom]) -> GroundProgram:
@@ -224,6 +240,12 @@ def wfm_restricted_stable_models(g: GroundProgram) -> frozenset:
             if least_model(gl_reduct(g, candidate)) == candidate:
                 found.add(candidate)
     return frozenset(found)
+
+
+def relevant_subprogram(g: GroundProgram, query: Query) -> GroundProgram:
+    """Rules whose head the query reaches in the dependency graph."""
+    keep = reachable_atoms(build_dependency_graph(g), query.atom)
+    return GroundProgram.from_rules(r for r in g.rules if r.head in keep)
 
 
 def has_odd_cycle(graph: CallGraph) -> bool:

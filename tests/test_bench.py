@@ -1,9 +1,14 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import networkx as nx
 import pytest
 
+import credal
 from credal.bench import (CSV_HEADER, DecompositionStats, GENERATORS,
-                          gen_reach_ba, gen_reach_grid, gen_smokers_ba,
+                          _ba_edges, gen_reach_ba, gen_reach_grid, gen_smokers_ba,
                           gen_smokers_grid, ground_rule_count, instance_seed,
                           primal_graph, primal_graph_stats, run_benchmark)
 from credal.ground import build_call_graph, detect_olon
@@ -66,6 +71,26 @@ def test_smokers_structure():
     grid = gen_smokers_grid(2, seed=11)
     assert sum(pf.atom.predicate == "stress" for pf in grid.program.prob_facts) == 4
     assert sum(pf.atom.predicate == "e" for pf in grid.program.prob_facts) == 4
+
+
+def test_ba_edges_match_networkx():
+    for n in range(3, 81):
+        for seed in range(30):
+            graph = nx.barabasi_albert_graph(n, 2, seed=seed)
+            expected = sorted((min(u, v), max(u, v)) for u, v in graph.edges())
+            assert _ba_edges(n, seed) == expected, (n, seed)
+
+
+def test_query_path_does_not_import_networkx():
+    src = str(Path(credal.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "import credal.cli\n"
+            "from credal.bench import gen_reach_ba\n"
+            "gen_reach_ba(50, 0)\n"
+            "print('networkx' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_generators_deterministic():

@@ -5,15 +5,16 @@ import pytest
 from credal.ground import (CallGraph, build_call_graph,
                            build_dependency_graph, detect_olon,
                            dot_call_graph, dot_dependency_graph,
-                           ground_program, reachable_atoms,
-                           relevant_subprogram)
+                           ground_program, reachable_atoms)
+from credal.bench import gen_reach_grid
 from credal.residual import encode_probabilistic_facts
 from credal.stable import enumerate_answer_sets
 from credal.syntax import Atom, Query, parse_program, parse_query
 from credal.wfs import wfm
 
 import programs
-from corpus import has_odd_cycle, make_corpus, naive_ground, random_pasp
+from corpus import (derivable_ground, has_odd_cycle, make_corpus, naive_ground,
+                    random_pasp, relevant_subprogram)
 
 
 def atoms(*names):
@@ -55,6 +56,75 @@ def test_overapproximation_matches_naive_grounding_semantics():
             slow_model.undefined_in(slow.herbrand_base)
         assert fast_model.false_set == slow_model.false_set & fast.herbrand_base
         assert enumerate_answer_sets(fast) == enumerate_answer_sets(slow)
+
+
+def test_grounding_rule_for_rule_against_oracle():
+    cases = [encode_probabilistic_facts(p)[0]
+             for p in make_corpus(seed=515, count=200, max_undefined=14)]
+    rng = random.Random(4242)
+    cases += [encode_probabilistic_facts(random_pasp(rng))[0] for _ in range(200)]
+    for program in cases:
+        g = ground_program(program)
+        oracle = derivable_ground(program)
+        assert g.rules == oracle.rules
+        assert g.herbrand_base == oracle.herbrand_base
+
+
+def _heads(g):
+    return {str(r.head) for r in g.rules}
+
+
+def test_grounding_delta_at_later_body_position():
+    # e/2 is derived a round after path(c,d), so the join that finds
+    # path(b,d) starts from the new e atoms at the second body position
+    p = parse_program("path(c,d).\ne0(a,b).\ne0(b,c).\n"
+                      "e(X,Y) :- e0(X,Y).\npath(X,Z) :- path(Y,Z), e(X,Y).")
+    g = ground_program(p)
+    assert g.rules == derivable_ground(p).rules
+    assert {"path(b,d)", "path(a,d)"} <= _heads(g)
+    assert "path(a,c)" not in _heads(g)
+
+
+def test_grounding_repeated_variable():
+    p = parse_program("e(a,a).\ne(a,b).\ne(b,a).\n"
+                      "loop(X) :- e(X,X).\nsym(X,Y) :- e(X,Y), e(Y,X).")
+    g = ground_program(p)
+    assert g.rules == derivable_ground(p).rules
+    assert {h for h in _heads(g) if h.startswith("loop")} == {"loop(a)"}
+    assert {h for h in _heads(g) if h.startswith("sym")} == \
+        {"sym(a,a)", "sym(a,b)", "sym(b,a)"}
+
+
+def test_grounding_constant_in_body():
+    p = parse_program("r(b,a).\nr(c,b).\nq(X) :- r(X,a).")
+    g = ground_program(p)
+    assert g.rules == derivable_ground(p).rules
+    assert {h for h in _heads(g) if h.startswith("q")} == {"q(b)"}
+
+
+def test_grounding_zero_arity_atoms():
+    p = parse_program("a.\nf(x).\nf(y).\nb :- a, not c.\n"
+                      "p(X) :- b, f(X), not a.\nq :- p(X).\nc :- d.")
+    g = ground_program(p)
+    assert g.rules == derivable_ground(p).rules
+    assert {"b", "p(x)", "p(y)", "q"} <= _heads(g)
+    assert sum(str(r.head) == "q" for r in g.rules) == 2  # one per p(_)
+    assert "c :- d." in {str(r) for r in g.rules}  # ground, so kept verbatim
+
+
+def test_grounding_body_first_satisfiable_in_round_three():
+    # a(x) and s(x) in round 0, b(x) in round 1, c(x) in round 2, t(x) in 3
+    p = parse_program("a(x).\ns(x).\nb(X) :- a(X).\nc(X) :- b(X).\n"
+                      "t(X) :- c(X), s(X).")
+    g = ground_program(p)
+    assert g.rules == derivable_ground(p).rules
+    assert "t(x) :- c(x), s(x)." in {str(r) for r in g.rules}
+
+
+def test_grounding_reach_grid_10_size():
+    instance = gen_reach_grid(10, seed=0)
+    encoded, _ = encode_probabilistic_facts(instance.program)
+    assert len(ground_program(encoded).rules) == 5670
 
 
 def test_call_graph_edges():
