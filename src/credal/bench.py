@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .bounds import (DEFAULT_MAX_PROB_FACTS, DEFAULT_MAX_UNDEFINED, ENGINES,
                      CredalUndefinedError, ProbFactLimitError, SolveTimeout,
                      _interval)
-from .ground import OlonError, ground_program
+from .ground import GroundProgram, OlonError, ground_program
 from .residual import CERTAIN_TRUE, extract_residual
 from .stable import UndefinedAtomLimitError
 from .syntax import (Atom, Program, ProbFact, Query, Rule, const,
@@ -172,12 +172,11 @@ def ground_rule_count(program: Program) -> int:
     return len(ground_program(with_facts_as_rules(program)).rules)
 
 
-def primal_graph(program: Program) -> "networkx.Graph":
-    """Undirected co-occurrence graph of the grounding: ground atoms are
+def primal_graph(g: GroundProgram) -> "networkx.Graph":
+    """Undirected co-occurrence graph of a grounding: ground atoms are
     vertices, adjacent when they appear together in some rule."""
     import networkx as nx  # only the decomposition statistics need it
 
-    g = ground_program(with_facts_as_rules(program))
     graph = nx.Graph()
     for atom in sorted(g.herbrand_base, key=str):
         graph.add_node(atom)
@@ -189,14 +188,14 @@ def primal_graph(program: Program) -> "networkx.Graph":
     return graph
 
 
-def primal_graph_stats(program: Program) -> DecompositionStats:
-    """Min-fill tree decomposition statistics of the ground primal graph.
+def primal_graph_stats(g: GroundProgram) -> DecompositionStats:
+    """Min-fill tree decomposition statistics of a grounding's primal graph.
 
     The reported width is the decomposition upper bound (max bag size
     minus one)."""
     from networkx.algorithms.approximation import treewidth_min_fill_in
 
-    graph = primal_graph(program)
+    graph = primal_graph(g)
     if graph.number_of_nodes() == 0:
         return DecompositionStats(0, 0, 0)
     width, decomposition = treewidth_min_fill_in(graph)
@@ -204,6 +203,8 @@ def primal_graph_stats(program: Program) -> DecompositionStats:
                               max(width, 0),
                               graph.number_of_nodes())
 
+
+MODES = ("direct", "residual")
 
 CSV_HEADER = ("dataset,size,run,mode,engine,parse_ms,ground_ms,residual_ms,"
               "solve_ms,total_ms,lower,upper,bags,width_ub,vertices,status")
@@ -213,7 +214,7 @@ def instance_seed(base_seed: int, dataset: str, size: int, run: int) -> int:
     return zlib.crc32(f"{base_seed}:{dataset}:{size}:{run}".encode())
 
 
-def run_benchmark(datasets, sizes, runs: int = 10, modes=("direct", "residual"),
+def run_benchmark(datasets, sizes, runs: int = 10,
                   engine: str = "enum", time_budget: float | None = None,
                   base_seed: int = 0,
                   max_prob_facts: int = DEFAULT_MAX_PROB_FACTS,
@@ -236,7 +237,7 @@ def run_benchmark(datasets, sizes, runs: int = 10, modes=("direct", "residual"),
             for run in range(runs):
                 seed = instance_seed(base_seed, dataset, size, run)
                 instance = GENERATORS[dataset](size, seed, run)
-                for mode in modes:
+                for mode in MODES:
                     yield _bench_row(instance, mode, engine, solve, time_budget,
                                      max_prob_facts, max_undefined, clock)
 
@@ -262,9 +263,9 @@ def _bench_row(instance, mode, engine, solve, time_budget,
         residual_ms = (clock() - t0) * 1000.0
 
     t0 = clock()
-    ground_program(with_facts_as_rules(target))
+    grounded = ground_program(with_facts_as_rules(target))
     ground_ms = (clock() - t0) * 1000.0
-    stats = primal_graph_stats(target)
+    stats = primal_graph_stats(grounded)
 
     t0 = clock()
     if status == "ok":

@@ -1,20 +1,20 @@
 """Credal probability bounds for a ground query.
 
-Two engines compute the same interval and cross-validate each other:
+Both engines fold the same per-world leaf: ``_WorldSolver.worlds`` walks
+every world (one per subset of the probabilistic facts, scanned in
+increasing bit-vector order with the first fact as the most significant
+bit, so sums are reproducible) and counts the world's answer sets as the
+pair (sets containing the query, all sets).  Their cross-check therefore
+covers only the two folds:
 
-* ``credal_bounds_enumeration`` walks every world (one per subset of the
-  probabilistic facts), asks whether the query holds in all / in some of
-  the world's answer sets, and adds the world's probability to the lower /
-  upper bound accordingly.
+* ``credal_bounds_enumeration`` adds the world's probability to the lower
+  bound when the query holds in every answer set and to the upper bound
+  when it holds in some.
 
 * ``credal_bounds_2amc`` phrases the same computation as a two-level
-  algebraic count: an inner pass over each world's answer sets folds
-  literal weights into a pair (sets containing the query, all sets), a
-  transformation collapses that pair to 0/1 indicators, and an outer pass
-  multiplies in the fact-selection weights and sums over worlds.
-
-Worlds are scanned in increasing bit-vector order (fact order of the
-program, first fact = most significant bit), so sums are reproducible.
+  algebraic count: the inner pair is collapsed to 0/1 indicators by
+  ``f_transform``, and an outer pass multiplies in the fact-selection
+  weights and sums over worlds.
 """
 
 from __future__ import annotations
@@ -118,7 +118,8 @@ def inner_count(world_answer_sets, query: Query) -> InnerValue:
     Every literal weighs (1, 1) except the negated query, which weighs
     (0, 1); an answer set therefore multiplies out to (1, 1) when it
     contains the query and (0, 1) otherwise, and the sum over answer sets
-    is the pair of counts."""
+    is the pair of counts.  ``_WorldSolver.worlds`` takes the same count on
+    atom ids; this form on atom sets is its reference."""
     n1 = n2 = 0
     for answer_set in world_answer_sets:
         n1 += query.atom in answer_set
@@ -135,7 +136,8 @@ def f_transform(value: InnerValue) -> OuterValue:
 
 class _WorldSolver:
     """Shared world iteration: one base grounding, indexed once, then per
-    world the selected fact atoms seed the answer-set search."""
+    world the selected fact atoms seed the answer-set search, whose answer
+    sets are counted against the query's atom id."""
 
     def __init__(self, program: Program, query: Query,
                  max_prob_facts: int, max_undefined: int,
@@ -161,18 +163,24 @@ class _WorldSolver:
         self.n = len(program.prob_facts)
 
     def worlds(self):
+        """Yield ``(world, InnerValue(n1, n2))`` per world: of its ``n2``
+        answer sets, ``n1`` contain the query atom."""
+        query_id = self.index.ids.get(self.query.atom)
         for index in range(1 << self.n):
             if self.deadline is not None and self.clock() > self.deadline:
                 raise SolveTimeout(f"time budget exceeded at world {index} of {1 << self.n}")
             world = World.from_index(index, self.n)
             facts = [i for i, sel in zip(self.fact_ids, world.selection) if sel]
-            answer_sets = list(iter_answer_sets(self.index, facts, self.max_undefined,
-                                                self.deadline, self.clock))
-            if not answer_sets:
+            n1 = n2 = 0
+            for answer_set in iter_answer_sets(self.index, facts, self.max_undefined,
+                                               self.deadline, self.clock):
+                n1 += query_id in answer_set
+                n2 += 1
+            if not n2:
                 raise CredalUndefinedError(
                     world, [pf.atom for pf, sel
                             in zip(self.program.prob_facts, world.selection) if sel])
-            yield world, answer_sets
+            yield world, InnerValue(n1, n2)
 
 
 def credal_bounds_enumeration(program: Program, query: Query, *,
@@ -184,12 +192,11 @@ def credal_bounds_enumeration(program: Program, query: Query, *,
     solver = _WorldSolver(program, query, max_prob_facts, max_undefined,
                           deadline, clock)
     lower = upper = 0.0
-    for world, answer_sets in solver.worlds():
-        holds = [query.atom in a for a in answer_sets]
+    for world, value in solver.worlds():
         p = world_probability(program, world)
-        if all(holds):
+        if value.n1 == value.n2:
             lower += p
-        if any(holds):
+        if value.n1 > 0:
             upper += p
     return _interval(lower, upper)
 
@@ -204,15 +211,11 @@ def credal_bounds_2amc(program: Program, query: Query, *,
     solver = _WorldSolver(program, query, max_prob_facts, max_undefined,
                           deadline, clock)
     acc_lp = acc_up = 0.0
-    for world, answer_sets in solver.worlds():
-        w_lp = w_up = 1.0
-        for pf, selected in zip(program.prob_facts, world.selection):
-            weight = pf.prob if selected else 1.0 - pf.prob
-            w_lp *= weight
-            w_up *= weight
-        fv = f_transform(inner_count(answer_sets, query))
-        acc_lp += w_lp * fv.lp
-        acc_up += w_up * fv.up
+    for world, value in solver.worlds():
+        weight = world_probability(program, world)
+        fv = f_transform(value)
+        acc_lp += weight * fv.lp
+        acc_up += weight * fv.up
     return _interval(acc_lp, acc_up)
 
 

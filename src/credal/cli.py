@@ -129,7 +129,8 @@ def _cmd_residual(args) -> int:
 
 def _cmd_stats(args) -> int:
     program = _read_program(args.input)
-    stats = bench_mod.primal_graph_stats(program)
+    grounded = ground_program(bench_mod.with_facts_as_rules(program))
+    stats = bench_mod.primal_graph_stats(grounded)
     print(f"bags={stats.bag_count} width_ub={stats.width_upper_bound} "
           f"vertices={stats.vertex_count}")
     return 0

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._util import strongly_connected_components
 from .syntax import Atom, Literal, Program, Rule, Term
 
 
@@ -220,8 +219,11 @@ def detect_olon(graph: CallGraph) -> OlonWitness | None:
 
     Works on the parity double cover: each predicate is split into an even
     and an odd copy, positive edges preserve parity and negative edges flip
-    it.  An odd cycle through ``v`` exists iff both copies of ``v`` share a
-    strongly connected component.
+    it.  An odd closed walk through ``v`` exists iff the odd copy of ``v``
+    is reachable from its even copy, and the witness comes from the first
+    such ``v`` in sorted order.  The cover is symmetric ((a,p)->(b,q) is an
+    edge iff (a,1-p)->(b,1-q) is), so the two copies then share a strongly
+    connected component and no component pass is needed.
     """
     nodes = sorted(graph.nodes)
     cover: dict[tuple, list[tuple]] = {}
@@ -234,21 +236,14 @@ def detect_olon(graph: CallGraph) -> OlonWitness | None:
         for parity in (0, 1):
             cover[(src, parity)].append((dst, parity ^ flip))
 
-    comp_of: dict[tuple, int] = {}
-    cover_nodes = [(n, p) for n in nodes for p in (0, 1)]
-    for i, comp in enumerate(strongly_connected_components(cover_nodes, cover)):
-        for member in comp:
-            comp_of[member] = i
-
     for node in nodes:
-        if comp_of[(node, 0)] != comp_of[(node, 1)]:
-            continue
         walk = _shortest_cover_path(cover, (node, 0), (node, 1))
-        return _extract_odd_cycle(walk)
+        if walk is not None:
+            return _extract_odd_cycle(walk)
     return None
 
 
-def _shortest_cover_path(cover, start, goal) -> list[tuple]:
+def _shortest_cover_path(cover, start, goal) -> list[tuple] | None:
     parent: dict[tuple, tuple] = {start: start}
     frontier = [start]
     while frontier:
@@ -264,7 +259,7 @@ def _shortest_cover_path(cover, start, goal) -> list[tuple]:
                         return list(reversed(path))
                     nxt.append(succ)
         frontier = nxt
-    raise AssertionError("cover path must exist inside a shared component")
+    return None
 
 
 def _extract_odd_cycle(walk: list[tuple]) -> OlonWitness:

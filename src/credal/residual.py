@@ -16,7 +16,7 @@ grounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .ground import (GroundProgram, OlonError, build_call_graph,
                      build_dependency_graph, detect_olon, ground_program,
@@ -41,21 +41,6 @@ class FactEncoding:
     """Bijection between probabilistic fact atoms and their complements."""
 
     entries: tuple[tuple[Atom, Atom, float], ...]  # (atom, complement, prob)
-    _complement: dict[Atom, Atom] = field(init=False, repr=False)
-    _prob: dict[Atom, float] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._complement = {a: na for a, na, _ in self.entries}
-        self._prob = {a: p for a, _, p in self.entries}
-
-    def complement_of(self, atom: Atom) -> Atom:
-        return self._complement[atom]
-
-    def prob_of(self, atom: Atom) -> float:
-        return self._prob[atom]
-
-    def atoms(self) -> tuple[Atom, ...]:
-        return tuple(a for a, _, _ in self.entries)
 
 
 @dataclass(frozen=True)

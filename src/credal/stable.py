@@ -9,7 +9,9 @@ compositions of one local answer set per component, each taken with the
 earlier components' choices fixed, so no composed candidate needs a
 second, global stability check.  A local answer set is a subset of the
 component's atoms that equals the least model of the component's rules
-reduced by it.
+reduced by it.  The search works on the atom ids of an ``IndexedProgram``
+and yields each answer set as a frozenset of ids; only
+``enumerate_answer_sets`` maps them back to atoms.
 """
 
 from __future__ import annotations
@@ -72,8 +74,9 @@ def _local_answer_sets(catoms, rules, deadline, clock):
 def iter_answer_sets(index: IndexedProgram, facts, max_undefined: int,
                      deadline: float | None, clock):
     """Yield every stable model of the indexed program plus the atom ids
-    ``facts``, in a deterministic order.  The search checks ``clock()``
-    against ``deadline`` (None for no budget) and raises ``SolveTimeout``."""
+    ``facts``, as a frozenset of atom ids, in a deterministic order.  The
+    search checks ``clock()`` against ``deadline`` (None for no budget) and
+    raises ``SolveTimeout``."""
     true_ids, possible = _wfm_ids(index, facts)
     undef = sorted(possible - true_ids)
     if len(undef) > max_undefined:
@@ -94,11 +97,11 @@ def iter_answer_sets(index: IndexedProgram, facts, max_undefined: int,
     rules_by_comp = [[] for _ in comps]
     for rule in reduced:
         rules_by_comp[comp_index[rule[0]]].append(rule)
-    true_atoms = index.to_atoms(true_ids)
+    true_ids = frozenset(true_ids)
 
     def rec(ci):
         if ci == len(comps):
-            yield true_atoms | index.to_atoms(a for a in undef if val[a])
+            yield true_ids.union(a for a in undef if val[a])
             return
         catoms = comps[ci]
         crules = _evaluate_decided(rules_by_comp[ci], val)
@@ -114,8 +117,9 @@ def iter_answer_sets(index: IndexedProgram, facts, max_undefined: int,
 
 def enumerate_answer_sets(g: GroundProgram, max_undefined: int = 24) -> frozenset:
     """All stable models of the ground program, as a set of atom sets."""
-    return frozenset(iter_answer_sets(IndexedProgram(g), (), max_undefined,
-                                      None, None))
+    index = IndexedProgram(g)
+    return frozenset(index.to_atoms(ids) for ids in
+                     iter_answer_sets(index, (), max_undefined, None, None))
 
 
 def project_answer_sets(answer_sets, atoms: frozenset[Atom]) -> frozenset:

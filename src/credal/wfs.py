@@ -32,9 +32,6 @@ class ThreeValuedInterpretation:
     def undefined_in(self, base: frozenset[Atom]) -> frozenset[Atom]:
         return base - self.true_set - self.false_set
 
-    def is_total_on(self, base: frozenset[Atom]) -> bool:
-        return not self.undefined_in(base)
-
     def leq(self, other: "ThreeValuedInterpretation") -> bool:
         """Knowledge order: both truth sets grow."""
         return self.true_set <= other.true_set and self.false_set <= other.false_set
@@ -127,7 +124,7 @@ def wfm(g: GroundProgram) -> ThreeValuedInterpretation:
 
 def dynamically_stratified(g: GroundProgram, model: ThreeValuedInterpretation) -> bool:
     """Whether the model is two-valued on the program's atoms."""
-    return model.is_total_on(g.herbrand_base)
+    return not model.undefined_in(g.herbrand_base)
 
 
 def wf_reduct(g: GroundProgram, model: ThreeValuedInterpretation) -> GroundProgram:

@@ -10,13 +10,18 @@ import credal
 from credal.bench import (CSV_HEADER, DecompositionStats, GENERATORS,
                           _ba_edges, gen_reach_ba, gen_reach_grid, gen_smokers_ba,
                           gen_smokers_grid, ground_rule_count, instance_seed,
-                          primal_graph, primal_graph_stats, run_benchmark)
-from credal.ground import build_call_graph, detect_olon
+                          primal_graph, primal_graph_stats, run_benchmark,
+                          with_facts_as_rules)
+from credal.ground import build_call_graph, detect_olon, ground_program
 from credal.residual import encode_probabilistic_facts
 from credal.syntax import (Program, canonical_program, parse_program,
                            render_program)
 
 from corpus import exact_treewidth, random_pasp
+
+
+def grounded(program):
+    return ground_program(with_facts_as_rules(program))
 
 
 class StubClock:
@@ -116,24 +121,24 @@ def test_generated_instances_are_olon_free_and_parse():
 
 def test_primal_stats_path_clique_cycle():
     chain = parse_program("a1 :- a2.\na2 :- a3.\na3 :- a4.\na4 :- a5.\na5.")
-    stats = primal_graph_stats(chain)
+    stats = primal_graph_stats(grounded(chain))
     assert stats.width_upper_bound == 1
     assert stats.vertex_count == 5
 
     clique = parse_program("a :- b, c, d.\nb. c. d.")
-    stats = primal_graph_stats(clique)
+    stats = primal_graph_stats(grounded(clique))
     assert stats.width_upper_bound == 3
     assert stats.vertex_count == 4
 
     cycle = parse_program("c0 :- c1.\nc1 :- c2.\nc2 :- c3.\nc3 :- c4.\n"
                           "c4 :- c5.\nc5 :- c0.")
-    stats = primal_graph_stats(cycle)
+    stats = primal_graph_stats(grounded(cycle))
     assert stats.width_upper_bound == 2
     assert stats.vertex_count == 6
 
 
 def test_primal_stats_empty_program():
-    assert primal_graph_stats(Program()) == DecompositionStats(0, 0, 0)
+    assert primal_graph_stats(grounded(Program())) == DecompositionStats(0, 0, 0)
 
 
 def test_min_fill_width_at_least_exact_treewidth():
@@ -141,10 +146,10 @@ def test_min_fill_width_at_least_exact_treewidth():
     checked = 0
     for _ in range(200):
         program = random_pasp(rng)
-        graph = primal_graph(program)
+        graph = primal_graph(grounded(program))
         if graph.number_of_nodes() == 0 or graph.number_of_nodes() > 8:
             continue
-        stats = primal_graph_stats(program)
+        stats = primal_graph_stats(grounded(program))
         neighbors = {v: set(graph[v]) for v in graph.nodes()}
         exact = exact_treewidth(neighbors)
         assert stats.width_upper_bound >= exact

@@ -8,7 +8,7 @@ from credal.bounds import (InnerValue, OuterValue, ProbabilityInterval,
                            f_transform, inner_count, solve_query,
                            world_probability)
 from credal.ground import OlonError, ground_program
-from credal.stable import enumerate_answer_sets
+from credal.stable import enumerate_answer_sets, iter_answer_sets
 from credal.syntax import Program, Rule, parse_program, parse_query
 
 import programs
@@ -118,10 +118,16 @@ def test_world_solver_matches_fresh_grounding(corpus200):
         solver = _WorldSolver(program, query, max_prob_facts=25,
                               max_undefined=24, deadline=None, clock=None)
         facts = [pf.atom for pf in program.prob_facts]
-        for world, answer_sets in solver.worlds():
+        for world, value in solver.worlds():
             chosen = tuple(Rule(a) for a, sel in zip(facts, world.selection) if sel)
-            fresh = ground_program(Program((), program.rules + chosen))
-            assert frozenset(answer_sets) == enumerate_answer_sets(fresh)
+            fresh = enumerate_answer_sets(
+                ground_program(Program((), program.rules + chosen)))
+            fact_ids = [i for i, sel in zip(solver.fact_ids, world.selection) if sel]
+            answer_sets = frozenset(
+                solver.index.to_atoms(ids)
+                for ids in iter_answer_sets(solver.index, fact_ids, 24, None, None))
+            assert answer_sets == fresh
+            assert value == inner_count(fresh, query)
 
 
 def test_engines_agree_on_corpus(corpus200):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from credal.ground import (CallGraph, build_call_graph,
+from credal.ground import (CallGraph, OlonError, OlonWitness, build_call_graph,
                            build_dependency_graph, detect_olon,
                            dot_call_graph, dot_dependency_graph,
                            ground_program, reachable_atoms)
@@ -154,6 +154,16 @@ def test_detect_olon_negative_self_loop():
     assert witness is not None
     assert witness.nodes == (("p", 0),)
     assert witness.signs == ("-",)
+
+
+def test_detect_olon_witness_with_two_odd_loops():
+    # a reaches an odd loop without lying on one; b is the first node on one
+    text = ("a :- b.\nb :- not c.\nc :- d.\nd :- b.\n"
+            "x :- not y.\ny :- not z.\nz :- not x, a.")
+    witness = detect_olon(build_call_graph(parse_program(text)))
+    assert witness == OlonWitness((("b", 0), ("c", 0), ("d", 0)), ("-", "+", "+"))
+    assert str(OlonError(witness)) == \
+        "odd loop over negation: b/0 -[-]-> c/0 -[+]-> d/0 -[+]-> b/0"
 
 
 def _random_call_graph(rng):

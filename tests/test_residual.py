@@ -27,8 +27,7 @@ def test_encode_single_fact():
     nq = Atom("__not_q")
     assert set(encoded.rules) == {Rule(Atom("q"), (Literal(nq, True),)),
                                   Rule(nq, (Literal(Atom("q"), True),))}
-    assert enc.complement_of(Atom("q")) == nq
-    assert enc.prob_of(Atom("q")) == 0.3
+    assert enc.entries == ((Atom("q"), nq, 0.3),)
 
 
 def test_encode_no_facts_is_identity():
