@@ -172,36 +172,56 @@ def ground_rule_count(program: Program) -> int:
     return len(ground_program(with_facts_as_rules(program)).rules)
 
 
-def primal_graph(g: GroundProgram) -> "networkx.Graph":
-    """Undirected co-occurrence graph of a grounding: ground atoms are
-    vertices, adjacent when they appear together in some rule."""
-    import networkx as nx  # only the decomposition statistics need it
-
-    graph = nx.Graph()
-    for atom in sorted(g.herbrand_base, key=str):
-        graph.add_node(atom)
+def primal_graph(g: GroundProgram) -> dict[Atom, set[Atom]]:
+    """Undirected co-occurrence graph of a grounding as adjacency sets:
+    ground atoms are vertices, inserted in ``str`` order, and adjacent when
+    they appear together in some rule."""
+    graph = {a: set() for a in sorted(g.herbrand_base, key=str)}
     for rule in g.rules:
-        atoms = sorted({rule.head, *(l.atom for l in rule.body)}, key=str)
-        for i, a in enumerate(atoms):
-            for b in atoms[i + 1:]:
-                graph.add_edge(a, b)
+        atoms = {rule.head, *(l.atom for l in rule.body)}
+        for a in atoms:
+            graph[a] |= atoms - {a}
     return graph
 
 
+def _min_fill_vertex(graph: dict[Atom, set[Atom]]) -> Atom | None:
+    """The vertex whose elimination adds the fewest edges, ties broken as
+    networkx's ``min_fill_in_heuristic`` does: the first strict minimum in
+    a stable sort by degree.  None once the graph is a clique."""
+    order = sorted(graph, key=lambda v: len(graph[v]))
+    if len(graph[order[0]]) == len(graph) - 1:
+        return None
+    best, best_fill = None, float("inf")  # fill-in counted twice
+    for v in order:
+        nbrs, fill = graph[v], 0
+        for u in nbrs:
+            fill += len(nbrs - graph[u]) - 1
+            if fill >= best_fill:
+                break
+        if fill < best_fill:
+            if fill == 0:
+                return v
+            best, best_fill = v, fill
+    return best
+
+
 def primal_graph_stats(g: GroundProgram) -> DecompositionStats:
-    """Min-fill tree decomposition statistics of a grounding's primal graph.
-
-    The reported width is the decomposition upper bound (max bag size
-    minus one)."""
-    from networkx.algorithms.approximation import treewidth_min_fill_in
-
+    """Min-fill tree decomposition statistics of a grounding's primal graph
+    (Bodlaender & Koster 2010), as networkx's ``treewidth_min_fill_in``
+    computes them: each eliminated vertex and its neighbours form a bag,
+    and the clique left at the end forms one more.  The bags are distinct,
+    since each holds its eliminated vertex and no later bag does.  The
+    reported width is the upper bound max bag size minus one."""
     graph = primal_graph(g)
-    if graph.number_of_nodes() == 0:
+    if not graph:
         return DecompositionStats(0, 0, 0)
-    width, decomposition = treewidth_min_fill_in(graph)
-    return DecompositionStats(decomposition.number_of_nodes(),
-                              max(width, 0),
-                              graph.number_of_nodes())
+    bags, width = 1, 0
+    while (v := _min_fill_vertex(graph)) is not None:
+        nbrs = graph.pop(v)
+        for u in nbrs:
+            graph[u] = (graph[u] | nbrs) - {u, v}
+        bags, width = bags + 1, max(width, len(nbrs))
+    return DecompositionStats(bags, max(width, len(graph) - 1), len(g.herbrand_base))
 
 
 MODES = ("direct", "residual")

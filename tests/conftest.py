@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from corpus import make_corpus, random_query
+from corpus import make_corpus, make_even_loop_corpus, random_query
 
 
 @pytest.fixture(scope="session")
@@ -11,3 +11,11 @@ def corpus200():
     programs = make_corpus(seed=20240, count=200)
     rng = random.Random(4711)
     return [(p, random_query(rng, p)) for p in programs]
+
+
+@pytest.fixture(scope="session")
+def even_loop_corpus():
+    """240 seeded (program, query) pairs with even loops over negation, so
+    that worlds can have several answer sets and intervals need not be
+    points (every world in corpus200 has exactly one answer set)."""
+    return make_even_loop_corpus(seed=9090, count=240)

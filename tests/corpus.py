@@ -3,15 +3,16 @@
 The oracles deliberately avoid the library's own algorithms: grounding by
 full cross-product instantiation, stable models by filtering every subset
 of the atom base through the reduct definition, the well-founded model by
-the iterated provability/refutability fixpoint, treewidth by dynamic
-programming over vertex subsets, and odd-loop detection by enumerating
-simple cycles.
+the iterated provability/refutability fixpoint, credal bounds from those
+per world in exact arithmetic, treewidth by dynamic programming over
+vertex subsets, and odd-loop detection by enumerating simple cycles.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from credal.ground import (CallGraph, GroundProgram, build_call_graph,
                            build_dependency_graph, ground_program,
@@ -99,6 +100,52 @@ def random_query(rng: random.Random, program: Program) -> Query:
 def make_corpus(seed: int, count: int, max_undefined: int = 18):
     rng = random.Random(seed)
     return [random_olon_free_pasp(rng, max_undefined) for _ in range(count)]
+
+
+def with_even_loops(rng: random.Random, program: Program) -> tuple[Program, list[Atom]]:
+    """The program plus one to three even loops over negation, each guarded
+    by a ground atom ``b`` of the program: ``c :- b, not d.`` and
+    ``d :- not c.`` give every world where ``b`` holds a choice between two
+    answer sets, and ``t :- c.`` passes the choice on to ``t``, a fresh
+    atom or one over the program's rule predicates.  ``b`` is an atom the
+    well-founded model does not make false, so some world can choose.
+    Returns the program and the atoms that see a choice."""
+    encoded, _ = encode_probabilistic_facts(program)
+    g = ground_program(encoded)
+    false = wfm(g).false_set
+    base = [a for a in sorted(g.herbrand_base, key=str)
+            if a not in false and not a.predicate.startswith("__")] or [Atom("p")]
+    consts = sorted(program.constants()) or ["a"]
+    rules, seen = list(program.rules), []
+    for i in range(rng.randint(1, 3)):
+        c, d = Atom(f"c{i}"), Atom(f"d{i}")
+        t = Atom(f"t{i}") if rng.random() < 0.5 else \
+            _random_atom(rng, RULE_PREDS, [const(n) for n in consts])
+        rules += [Rule(c, (Literal(rng.choice(base)), Literal(d, negated=True))),
+                  Rule(d, (Literal(c, negated=True),)),
+                  Rule(t, (Literal(c),))]
+        seen += [c, t]
+    return Program(program.prob_facts, tuple(sorted(set(rules), key=str))), seen
+
+
+def make_even_loop_corpus(seed: int, count: int, max_undefined: int = 10):
+    """(program, query) pairs whose worlds can have several answer sets:
+    odd-loop-free random programs with even loops added, kept only while
+    still odd-loop-free and small enough for the subset oracles.  The query
+    is an atom that sees a choice, or one of the program's rule atoms."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        program, seen = with_even_loops(rng, random_pasp(rng))
+        encoded, _ = encode_probabilistic_facts(program)
+        if detect_olon(build_call_graph(encoded)) is not None:
+            continue
+        g = ground_program(encoded)
+        if len(wfm(g).undefined_in(g.herbrand_base)) > max_undefined:
+            continue
+        query = Query(rng.choice(seen)) if rng.random() < 0.7 else random_query(rng, program)
+        pairs.append((program, query))
+    return pairs
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +287,36 @@ def wfm_restricted_stable_models(g: GroundProgram) -> frozenset:
             if least_model(gl_reduct(g, candidate)) == candidate:
                 found.add(candidate)
     return frozenset(found)
+
+
+def oracle_bounds(program: Program, query: Query) -> tuple[Fraction, Fraction]:
+    """Credal bounds straight from the definition, in exact arithmetic.
+
+    For every world: ground the rules and the chosen facts naively, take
+    the well-founded model by the iterated fixpoint, and keep the subsets
+    of its undefined atoms that make the true atoms a stable model.  A
+    world adds its probability to the lower bound when every answer set
+    holds the query and to the upper bound when some answer set does."""
+    lower = upper = Fraction(0)
+    facts = program.prob_facts
+    for selection in itertools.product((False, True), repeat=len(facts)):
+        weight = Fraction(1)
+        for pf, sel in zip(facts, selection):
+            p = Fraction(pf.prob)
+            weight *= p if sel else 1 - p
+        chosen = tuple(Rule(pf.atom) for pf, sel in zip(facts, selection) if sel)
+        g = naive_ground(Program((), program.rules + chosen))
+        model = iterated_wfm(g)[-1]
+        undefined = sorted(g.herbrand_base - model.true_set - model.false_set, key=str)
+        holds = [query.atom in candidate
+                 for k in range(len(undefined) + 1)
+                 for combo in itertools.combinations(undefined, k)
+                 if is_stable(g, candidate := model.true_set | frozenset(combo))]
+        if not holds:
+            raise ValueError(f"world {selection} has no answer set")
+        lower += weight if all(holds) else 0
+        upper += weight if any(holds) else 0
+    return lower, upper
 
 
 def relevant_subprogram(g: GroundProgram, query: Query) -> GroundProgram:

@@ -110,9 +110,9 @@ def test_criterion_05_olon_and_stable_models():
     _report(5, started, 1.0, "odd loop detected, 0 vs 2 stable models as listed")
 
 
-def test_criterion_06_residual_and_engine_agreement(corpus200):
+def test_criterion_06_residual_and_engine_agreement(corpus200, even_loop_corpus):
     started = time.perf_counter()
-    for program, query in corpus200:
+    for program, query in corpus200 + even_loop_corpus:
         direct_enum = credal_bounds_enumeration(program, query)
         direct_2amc = credal_bounds_2amc(program, query)
         assert direct_enum.lower == pytest.approx(direct_2amc.lower, abs=1e-12)
@@ -123,7 +123,7 @@ def test_criterion_06_residual_and_engine_agreement(corpus200):
             assert via_residual.lower == pytest.approx(direct_enum.lower, abs=1e-9)
             assert via_residual.upper == pytest.approx(direct_enum.upper, abs=1e-9)
     _report(6, started, 60.0,
-            "direct = residual (1e-9) and enum = 2AMC (1e-12) on 200 programs")
+            "direct = residual (1e-9) and enum = 2AMC (1e-12) on 440 programs")
 
 
 def test_criterion_07_reduct_and_projection_properties(corpus200):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import subprocess
 import sys
@@ -5,6 +6,7 @@ from pathlib import Path
 
 import networkx as nx
 import pytest
+from networkx.algorithms.approximation import treewidth_min_fill_in
 
 import credal
 from credal.bench import (CSV_HEADER, DecompositionStats, GENERATORS,
@@ -147,15 +149,51 @@ def test_min_fill_width_at_least_exact_treewidth():
     for _ in range(200):
         program = random_pasp(rng)
         graph = primal_graph(grounded(program))
-        if graph.number_of_nodes() == 0 or graph.number_of_nodes() > 8:
+        if len(graph) == 0 or len(graph) > 8:
             continue
         stats = primal_graph_stats(grounded(program))
-        neighbors = {v: set(graph[v]) for v in graph.nodes()}
-        exact = exact_treewidth(neighbors)
+        exact = exact_treewidth(graph)
         assert stats.width_upper_bound >= exact
-        assert stats.vertex_count == graph.number_of_nodes()
+        assert stats.vertex_count == len(graph)
         checked += 1
     assert checked >= 50
+
+
+def networkx_min_fill_stats(g):
+    """The statistics as networkx computes them, on a ``networkx.Graph``
+    built straight from the grounding with nodes added in ``str`` order."""
+    graph = nx.Graph()
+    graph.add_nodes_from(sorted(g.herbrand_base, key=str))
+    for rule in g.rules:
+        atoms = sorted({rule.head, *(l.atom for l in rule.body)}, key=str)
+        graph.add_edges_from(itertools.combinations(atoms, 2))
+    if graph.number_of_nodes() == 0:
+        return DecompositionStats(0, 0, 0)
+    width, decomposition = treewidth_min_fill_in(graph)
+    return DecompositionStats(decomposition.number_of_nodes(), width,
+                              graph.number_of_nodes())
+
+
+def test_min_fill_stats_match_networkx():
+    from credal.residual import extract_residual
+
+    # every criterion-9 (base seed 0) and criterion-10 (base seed 7)
+    # instance in both modes, the grids at sizes 2-3, and random programs
+    sweeps = [(0, "reachGrid", (2, 3)), (0, "reachBA", (5, 10)),
+              (0, "smokersBA", (5, 10)), (0, "smokersGrid", (2, 3)),
+              (7, "reachGrid", (2, 3)), (7, "smokersGrid", (2, 3))]
+    programs = []
+    for base, dataset, sizes in sweeps:
+        for size in sizes:
+            for run in range(10):
+                inst = GENERATORS[dataset](size, instance_seed(base, dataset, size, run), run)
+                programs += [inst.program,
+                             extract_residual(inst.program, inst.query).program]
+    rng = random.Random(2024)
+    programs += [random_pasp(rng) for _ in range(500)]
+    for program in programs:
+        g = grounded(program)
+        assert primal_graph_stats(g) == networkx_min_fill_stats(g), render_program(program)
 
 
 def test_instance_seed_is_stable():

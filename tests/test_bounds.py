@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -9,9 +10,11 @@ from credal.bounds import (InnerValue, OuterValue, ProbabilityInterval,
                            world_probability)
 from credal.ground import OlonError, ground_program
 from credal.stable import enumerate_answer_sets, iter_answer_sets
-from credal.syntax import Program, Rule, parse_program, parse_query
+from credal.syntax import (Atom, Literal, ProbFact, Program, Query, Rule, const,
+                           parse_program, parse_query, render_program)
 
 import programs
+from corpus import oracle_bounds
 
 
 EX4 = parse_program(programs.PROB_EDGES_RECURSIVE)
@@ -109,12 +112,12 @@ def test_bounds_query_on_prob_fact_atom():
         assert interval.upper == pytest.approx(0.25, abs=1e-12)
 
 
-def test_world_solver_matches_fresh_grounding(corpus200):
+def test_world_solver_matches_fresh_grounding(corpus200, even_loop_corpus):
     # the engines ground once with every fact present and re-attach selected
     # facts per world; that must agree with grounding each world from scratch
     from credal.bounds import _WorldSolver
 
-    for program, query in corpus200[:40]:
+    for program, query in corpus200[:40] + even_loop_corpus[:40]:
         solver = _WorldSolver(program, query, max_prob_facts=25,
                               max_undefined=24, deadline=None, clock=None)
         facts = [pf.atom for pf in program.prob_facts]
@@ -130,8 +133,8 @@ def test_world_solver_matches_fresh_grounding(corpus200):
             assert value == inner_count(fresh, query)
 
 
-def test_engines_agree_on_corpus(corpus200):
-    for program, query in corpus200:
+def test_engines_agree_on_corpus(corpus200, even_loop_corpus):
+    for program, query in corpus200 + even_loop_corpus:
         a = credal_bounds_enumeration(program, query)
         b = credal_bounds_2amc(program, query)
         assert a.lower == pytest.approx(b.lower, abs=1e-12)
@@ -223,3 +226,88 @@ def test_interval_validation():
     with pytest.raises(ValueError):
         ProbabilityInterval(0.8, 0.2)
     assert str(ProbabilityInterval(0.0, 0.03)) == "[0.000000, 0.030000]"
+
+
+def test_bounds_equal_exact_oracle(corpus200, even_loop_corpus):
+    non_point = 0
+    for program, query in corpus200 + even_loop_corpus:
+        lower, upper = oracle_bounds(program, query)
+        non_point += lower < upper
+        for mode in ("direct", "residual"):
+            for engine in ("enum", "twoamc"):
+                interval, _ = solve_query(program, query, mode=mode, engine=engine)
+                assert interval.lower == pytest.approx(float(lower), abs=1e-12), \
+                    (mode, engine, render_program(program), query)
+                assert interval.upper == pytest.approx(float(upper), abs=1e-12), \
+                    (mode, engine, render_program(program), query)
+    assert non_point >= 100
+
+
+# Metamorphic checks: each pair of (program, query) must get the same
+# interval, so none needs an oracle.  Every second pair of the even-loop
+# corpus keeps their run time to a few seconds.
+
+def assert_same_bounds(first, second):
+    for mode in ("direct", "residual"):
+        a, _ = solve_query(*first, mode=mode)
+        b, _ = solve_query(*second, mode=mode)
+        assert (a.lower, a.upper) == pytest.approx((b.lower, b.upper), abs=1e-12), \
+            (mode, render_program(first[0]), first[1])
+
+
+def renamed(program, query, rng):
+    """The program and query under a random one-to-one renaming of their
+    predicates and of their constants."""
+    atoms = [query.atom, *(pf.atom for pf in program.prob_facts),
+             *(a for r in program.rules for a in (r.head, *(l.atom for l in r.body)))]
+    preds = sorted({a.predicate for a in atoms})
+    consts = sorted({t.name for a in atoms for t in a.args if not t.is_variable})
+    pred_map = dict(zip(preds, (f"n{i}" for i in rng.sample(range(100), len(preds)))))
+    const_map = dict(zip(consts, (const(f"k{i}") for i in rng.sample(range(100), len(consts)))))
+
+    def atom(a):
+        return Atom(pred_map[a.predicate],
+                    tuple(t if t.is_variable else const_map[t.name] for t in a.args))
+
+    return (Program(tuple(ProbFact(pf.prob, atom(pf.atom)) for pf in program.prob_facts),
+                    tuple(Rule(atom(r.head), tuple(Literal(atom(l.atom), l.negated)
+                                                   for l in r.body))
+                          for r in program.rules)),
+            Query(atom(query.atom)))
+
+
+def test_renaming_predicates_and_constants_keeps_bounds(even_loop_corpus):
+    rng = random.Random(31)
+    for program, query in even_loop_corpus[::2]:
+        assert_same_bounds((program, query), renamed(program, query, rng))
+
+
+def test_shuffling_statements_keeps_bounds(even_loop_corpus):
+    rng = random.Random(32)
+    for program, query in even_loop_corpus[::2]:
+        shuffled = Program(tuple(rng.sample(program.prob_facts, len(program.prob_facts))),
+                           tuple(rng.sample(program.rules, len(program.rules))))
+        assert_same_bounds((program, query), (shuffled, query))
+
+
+def test_unreachable_fact_keeps_bounds(even_loop_corpus):
+    for program, query in even_loop_corpus[::2]:
+        extra = Program(program.prob_facts + (ProbFact(0.37, Atom("unreached")),),
+                        program.rules)
+        assert_same_bounds((program, query), (extra, query))
+
+
+def test_certain_and_impossible_facts(even_loop_corpus):
+    # 0.0::a is the same as leaving a out, and 1.0::a the same as a.
+    checked = 0
+    for program, query in even_loop_corpus[::2]:
+        facts = program.prob_facts
+        for i, pf in enumerate(facts):
+            rest = facts[:i] + facts[i + 1:]
+            impossible = Program(rest + (ProbFact(0.0, pf.atom),), program.rules)
+            assert_same_bounds((impossible, query), (Program(rest, program.rules), query))
+            certain = Program(rest + (ProbFact(1.0, pf.atom),), program.rules)
+            assert_same_bounds((certain, query),
+                               (Program(rest, program.rules + (Rule(pf.atom),)), query))
+            checked += 1
+    assert checked >= 100

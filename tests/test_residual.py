@@ -109,8 +109,8 @@ def test_residual_rendering_round_trips():
     assert parse_program(text) == residual.program
 
 
-def test_residual_idempotent(corpus200):
-    for program, query in corpus200[:60]:
+def test_residual_idempotent(corpus200, even_loop_corpus):
+    for program, query in corpus200[:60] + even_loop_corpus:
         first = extract_residual(program, query)
         if first.query_status != UNDEFINED:
             continue
