@@ -240,10 +240,13 @@ def run_benchmark(datasets, sizes, runs: int = 10,
                   max_prob_facts: int = DEFAULT_MAX_PROB_FACTS,
                   max_undefined: int = DEFAULT_MAX_UNDEFINED,
                   clock=time.perf_counter):
-    """Yield one CSV row per (dataset, size, run, mode), in that order.
+    """One CSV row per (dataset, size, run, mode), in that order, produced
+    lazily.
 
-    Solving respects ``time_budget`` seconds per row; rows that run out of
-    budget or hit a cap are reported with status timeout/error instead of
+    Every instance is generated up front, so an unknown dataset or a size
+    that a generator rejects raises ``ValueError`` before any row.  Solving
+    respects ``time_budget`` seconds per row; rows that run out of budget
+    or hit a cap are reported with status timeout/error instead of
     aborting the sweep.  All semantic columns are deterministic under a
     fixed seed; the *_ms columns read ``clock``, so passing a monotone stub
     makes entire rows reproducible byte for byte.
@@ -251,15 +254,12 @@ def run_benchmark(datasets, sizes, runs: int = 10,
     unknown = [d for d in datasets if d not in GENERATORS]
     if unknown:
         raise ValueError(f"unknown dataset(s): {', '.join(unknown)}")
+    instances = [GENERATORS[dataset](size, instance_seed(base_seed, dataset, size, run), run)
+                 for dataset in datasets for size in sizes for run in range(runs)]
     solve = ENGINES[engine]
-    for dataset in datasets:
-        for size in sizes:
-            for run in range(runs):
-                seed = instance_seed(base_seed, dataset, size, run)
-                instance = GENERATORS[dataset](size, seed, run)
-                for mode in MODES:
-                    yield _bench_row(instance, mode, engine, solve, time_budget,
-                                     max_prob_facts, max_undefined, clock)
+    return (_bench_row(instance, mode, engine, solve, time_budget,
+                       max_prob_facts, max_undefined, clock)
+            for instance in instances for mode in MODES)
 
 
 def _bench_row(instance, mode, engine, solve, time_budget,

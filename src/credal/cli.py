@@ -143,11 +143,14 @@ def _cmd_bench(args) -> int:
     except ValueError:
         raise _UsageError(f"--sizes must be a comma-separated list of integers, "
                           f"got {args.sizes!r}")
-    rows = bench_mod.run_benchmark(datasets, sizes, runs=args.runs,
-                                   engine=args.engine, time_budget=args.timeout,
-                                   base_seed=args.seed,
-                                   max_prob_facts=args.max_prob_facts,
-                                   max_undefined=args.max_undefined)
+    try:
+        rows = bench_mod.run_benchmark(datasets, sizes, runs=args.runs,
+                                       engine=args.engine, time_budget=args.timeout,
+                                       base_seed=args.seed,
+                                       max_prob_facts=args.max_prob_facts,
+                                       max_undefined=args.max_undefined)
+    except ValueError as exc:  # unknown dataset, or a size its generator rejects
+        raise _UsageError(str(exc))
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         print(bench_mod.CSV_HEADER, file=sink)

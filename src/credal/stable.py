@@ -1,22 +1,26 @@
-"""Stable models by splitting along the atom dependency graph.
+"""Stable models by branch-and-propagate search on the least-model kernel.
 
 Every stable model contains the well-founded model's true atoms and misses
 its false ones, so the search covers only the undefined atoms, on their
-rules with every decided literal evaluated away.  Those atoms split into
-strongly connected components in dependency order.  By the splitting-set
-theorem (Lifschitz & Turner 1994) the stable models are exactly the
-compositions of one local answer set per component, each taken with the
-earlier components' choices fixed, so no composed candidate needs a
-second, global stability check.  A local answer set is a subset of the
-component's atoms that equals the least model of the component's rules
-reduced by it.  The search works on the atom ids of an ``IndexedProgram``
-and yields each answer set as a frozenset of ids; only
-``enumerate_answer_sets`` maps them back to atoms.
+rules with every decided literal evaluated away.  As in smodels (Simons,
+Niemela & Soininen 2002), propagation is the alternating-fixpoint step on
+``wfs.least_model``.  Write Gamma(I) for the least model of the reduct by
+I: it is antimonotone, and M is stable iff M = Gamma(M).  A node assumes
+the atoms ``yes`` true and ``no`` false and inherits a lower bound ``true``.
+Every stable model M that agrees with it lies between Gamma(poss - no),
+the new lower bound, and poss = Gamma(true | yes); so the node is pruned if
+``yes`` leaves ``poss`` or the new bound meets ``no``.  Else it branches on
+an undecided atom of ``poss``, true first, so no answer set comes twice.
+With every atom decided, ``true | yes`` is the only candidate, yielded iff
+it equals its own Gamma; that check alone makes the search sound.  The
+search grows with the answer sets and pruned branches, not with the 2^k
+subsets of k undefined atoms: the even ring ``a_i :- not a_{i+1 mod 18}``
+takes 27 nodes.  Answer sets are frozensets of the atom ids of an
+``IndexedProgram``; only ``enumerate_answer_sets`` maps them to atoms.
 """
 
 from __future__ import annotations
 
-from ._util import strongly_connected_components
 from .ground import GroundProgram
 from .syntax import Atom
 from .wfs import IndexedProgram, _wfm_ids, least_model, watch_list
@@ -54,23 +58,6 @@ def _evaluate_decided(rules, val):
     return out
 
 
-def _local_answer_sets(catoms, rules, deadline, clock):
-    """Subsets of one component's atoms that equal the least model of the
-    component's rules reduced by them; earlier components are already
-    evaluated out of ``rules``."""
-    watch = watch_list(rules, catoms)
-    out = []
-    for mask in range(1 << len(catoms)):
-        # one clock read per 1024 candidates keeps it out of small components
-        if mask & 1023 == 1023 and deadline is not None and clock() > deadline:
-            raise SolveTimeout(f"time budget exceeded in a dependency "
-                               f"component of {len(catoms)} atoms")
-        chosen = {a for j, a in enumerate(catoms) if mask >> j & 1}
-        if least_model(rules, watch, chosen, ()) == chosen:
-            out.append(chosen)
-    return out
-
-
 def iter_answer_sets(index: IndexedProgram, facts, max_undefined: int,
                      deadline: float | None, clock):
     """Yield every stable model of the indexed program plus the atom ids
@@ -87,32 +74,30 @@ def iter_answer_sets(index: IndexedProgram, facts, max_undefined: int,
         val[i] = True
     for i in undef:
         val[i] = None
-    reduced = _evaluate_decided([r for r in index.rules if val[r[0]] is None], val)
-    adjacency = {a: [] for a in undef}
-    for head, pos, neg in reduced:
-        adjacency[head].extend(pos)
-        adjacency[head].extend(neg)
-    comps = [sorted(c) for c in strongly_connected_components(undef, adjacency)]
-    comp_index = {a: ci for ci, comp in enumerate(comps) for a in comp}
-    rules_by_comp = [[] for _ in comps]
-    for rule in reduced:
-        rules_by_comp[comp_index[rule[0]]].append(rule)
-    true_ids = frozenset(true_ids)
+    rules = _evaluate_decided([r for r in index.rules if val[r[0]] is None], val)
+    watch = watch_list(rules, undef)
+    base = frozenset(true_ids)
 
-    def rec(ci):
-        if ci == len(comps):
-            yield true_ids.union(a for a in undef if val[a])
+    def search(yes, no, true):
+        if deadline is not None and clock() > deadline:
+            raise SolveTimeout(f"time budget exceeded in the answer-set search "
+                               f"over {len(undef)} undefined atoms")
+        poss = least_model(rules, watch, true | yes, ())
+        if not yes <= poss:
             return
-        catoms = comps[ci]
-        crules = _evaluate_decided(rules_by_comp[ci], val)
-        for choice in _local_answer_sets(catoms, crules, deadline, clock):
-            for a in catoms:
-                val[a] = a in choice
-            yield from rec(ci + 1)
-        for a in catoms:
-            val[a] = None
+        true = least_model(rules, watch, poss - no, ())
+        if not true.isdisjoint(no):
+            return
+        for a in undef:
+            if a in poss and a not in true and a not in yes and a not in no:
+                yield from search(yes | {a}, no, true)
+                yield from search(yes, no | {a}, true)
+                return
+        model = true | yes
+        if least_model(rules, watch, model, ()) == model:
+            yield base | model
 
-    yield from rec(0)
+    yield from search(frozenset(), frozenset(), frozenset())
 
 
 def enumerate_answer_sets(g: GroundProgram, max_undefined: int = 24) -> frozenset:

@@ -4,7 +4,9 @@ Each test prints a single ``ACCEPTANCE <n> PASS`` line (run pytest with
 ``-s`` or ``-rP`` to see them) and enforces its runtime budget.
 """
 
+import importlib.util
 import time
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +167,16 @@ def test_criterion_08_wfs_bounds_stable_models(corpus200):
             f"WFM brackets every answer set ({stratified_seen} stratified programs)")
 
 
+def _family_oracle():
+    """``perfbench/oracle.py``, the exact bounds of the reach and smokers
+    families, computed without any of credal's code."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "oracle.py"
+    spec = importlib.util.spec_from_file_location("family_oracle", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _criterion_09_rows():
     budget = 4.0
     sweeps = (("reachGrid", (2, 3)), ("reachBA", (5, 10)), ("smokersBA", (5, 10)))
@@ -191,11 +203,25 @@ def test_criterion_09_size_and_width_trend():
         }
     assert len(parsed) == 60
 
+    oracle = _family_oracle()
     strict = 0
     both_ok = 0
+    oracle_checked = 0
     for (dataset, size, run), modes in sorted(parsed.items()):
         seed = instance_seed(0, dataset, size, run)
         instance = GENERATORS[dataset](size, seed, run)
+        facts = [(pf.atom.predicate, tuple(t.name for t in pf.atom.args), pf.prob)
+                 for pf in instance.program.prob_facts]
+        query = instance.query.atom
+        exact = oracle.exact_bounds(
+            "reach" if dataset.startswith("reach") else "smokers", facts,
+            (query.predicate, tuple(t.name for t in query.args)))
+        for mode, row in modes.items():
+            if row["status"] == "ok":
+                oracle_checked += 1
+                for got, want in zip(row["bounds"], exact):
+                    assert float(got) == pytest.approx(want, abs=1e-9), \
+                        (dataset, size, run, mode)
         residual = extract_residual(instance.program, instance.query)
         rules_direct = ground_rule_count(instance.program)
         rules_residual = ground_rule_count(residual.program)
@@ -225,7 +251,8 @@ def test_criterion_09_size_and_width_trend():
     assert strict >= 0.8 * len(parsed)
     _report(9, started, 300.0,
             f"residual never larger on 60 instances, strictly smaller on "
-            f"{strict}, equal bounds on {both_ok} instances solved both ways")
+            f"{strict}, equal bounds on {both_ok} instances solved both ways, "
+            f"{oracle_checked} solved rows equal to the family oracle")
 
 
 def test_criterion_10_round_trip_and_csv_determinism():

@@ -206,8 +206,9 @@ def test_timeout_raises():
 
 
 def test_timeout_inside_one_component():
-    # an even ring of 18 atoms is one component with 2^18 candidate subsets
-    # in every world; the budget must stop the search inside world 0
+    # an even ring of 18 atoms leaves every atom undefined in every world,
+    # and the answer-set search reads the clock once per node; the budget
+    # must stop that search inside world 0, not wait for the world loop
     ring = "\n".join(f"a{i} :- not a{(i + 1) % 18}." for i in range(18))
     p = parse_program(ring + "\n0.5::f.\nq :- a0, f.")
     reads = 0

@@ -72,6 +72,19 @@ def test_bench_command(tmp_path, capsys):
     assert all(line.endswith(",ok") for line in lines[1:])
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--sizes", "2"], "reachBA needs at least 3 nodes, got 2"),
+    (["--datasets", "nope", "--sizes", "2"], "unknown dataset(s): nope"),
+    (["--sizes", "-1"], "reachBA needs at least 3 nodes, got -1"),
+])
+def test_bench_rejected_sweep_is_a_usage_error(capsys, args, message):
+    code = dispatch(["bench", "--runs", "1", *args])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""  # no CSV header before the error
+    assert out.err == f"error[usage]: {message}\n"
+
+
 def test_olon_exit_code(tmp_path, capsys):
     path = tmp_path / "olon.pasp"
     path.write_text(programs.OLON_LOOP + "0.5::x.\n")

@@ -5,9 +5,9 @@ import pytest
 from credal.ground import GroundProgram, ground_program
 from credal.residual import encode_probabilistic_facts
 from credal.stable import (UndefinedAtomLimitError, enumerate_answer_sets,
-                           project_answer_sets)
+                           iter_answer_sets, project_answer_sets)
 from credal.syntax import Atom, Program, Rule, parse_program, parse_query
-from credal.wfs import dynamically_stratified, wfm
+from credal.wfs import IndexedProgram, dynamically_stratified, wfm
 
 import programs
 from corpus import (gl_reduct, is_stable, least_model, random_pasp,
@@ -133,6 +133,73 @@ def test_chained_components_need_no_global_check():
     answer_sets = enumerate_answer_sets(g)
     assert answer_sets == subsets_stable_models(g)
     assert len(answer_sets) == 4
+
+
+def ring(n):
+    """``a_i :- not a_{i+1 mod n}``: two answer sets for even n, none for odd."""
+    return "\n".join(f"a{i} :- not a{(i + 1) % n}." for i in range(n))
+
+
+def test_even_ring_search_visits_few_nodes():
+    # 2^18 candidate subsets, of which 2 are stable; the search reads the
+    # clock once per node, so the reads count the nodes it visits
+    index = IndexedProgram(ground_program(parse_program(ring(18))))
+    reads = 0
+
+    def clock():
+        nonlocal reads
+        reads += 1
+        return 0.0
+
+    found = {index.to_atoms(ids) for ids in
+             iter_answer_sets(index, (), 24, 1.0, clock)}
+    assert found == {frozenset(Atom(f"a{i}") for i in range(parity, 18, 2))
+                     for parity in (0, 1)}
+    assert reads <= 40
+
+
+@pytest.mark.parametrize("n", [1, 3, 17])
+def test_odd_ring_has_no_answer_set(n):
+    assert enumerate_answer_sets(ground_program(parse_program(ring(n)))) == frozenset()
+
+
+def negation_heavy_program(rng):
+    """Up to 8 atoms and mostly rules ``a_i :- not a_j``, often mirrored
+    into an even loop, some with a second negative or a positive literal,
+    and the odd fact.  Up to 10 atoms would make the subset filter take
+    about 9 s for 300 programs."""
+    n = rng.randint(2, 8)
+    lines = []
+    for _ in range(rng.randint(n, 2 * n)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        if rng.random() < 0.05:
+            lines.append(f"a{i}.")
+            continue
+        body = [f"not a{j}"]
+        if rng.random() < 0.2:
+            body.append(f"not a{rng.randrange(n)}")
+        if rng.random() < 0.2:
+            body.append(f"a{rng.randrange(n)}")
+        lines.append(f"a{i} :- {', '.join(body)}.")
+        if rng.random() < 0.4:
+            lines.append(f"a{j} :- not a{i}.")
+    return ground_program(parse_program("\n".join(lines)))
+
+
+def test_search_equals_subset_filter_on_negation_heavy_programs():
+    rng = random.Random(31337)
+    several = none = 0
+    for _ in range(300):
+        g = negation_heavy_program(rng)
+        index = IndexedProgram(g)
+        # a list, as the engines count answer sets: none may come twice
+        answer_sets = [index.to_atoms(ids) for ids in
+                       iter_answer_sets(index, (), 10, None, None)]
+        assert len(set(answer_sets)) == len(answer_sets), g.rules
+        assert set(answer_sets) == subsets_stable_models(g), g.rules
+        several += len(answer_sets) > 1
+        none += not answer_sets
+    assert several >= 50 and none >= 50
 
 
 def test_enumeration_equals_subset_filter_small(corpus200):
