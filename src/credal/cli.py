@@ -35,6 +35,26 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _bounded(convert, accept, wanted: str):
+    """An argparse type: ``convert`` the text and keep the value only if
+    ``accept`` holds, so an unusable count or budget is a usage error
+    before any output."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}")
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
+        return value
+    return parse
+
+
+_CAP = _bounded(int, lambda n: n >= 0, "at least 0")
+_RUNS = _bounded(int, lambda n: n >= 1, "at least 1")
+_SECONDS = _bounded(float, lambda t: t > 0, "positive")
+
+
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="credal",
                              description="credal inference for probabilistic "
@@ -52,8 +72,8 @@ def _build_parser() -> _ArgumentParser:
     add_common(solve, True)
     solve.add_argument("--mode", choices=("direct", "residual"), default="residual")
     solve.add_argument("--engine", choices=("enum", "twoamc"), default="enum")
-    solve.add_argument("--max-prob-facts", type=int, default=DEFAULT_MAX_PROB_FACTS)
-    solve.add_argument("--max-undefined", type=int, default=DEFAULT_MAX_UNDEFINED)
+    solve.add_argument("--max-prob-facts", type=_CAP, default=DEFAULT_MAX_PROB_FACTS)
+    solve.add_argument("--max-undefined", type=_CAP, default=DEFAULT_MAX_UNDEFINED)
 
     residual = sub.add_parser("residual", help="print the query's residual program")
     add_common(residual, True)
@@ -66,13 +86,13 @@ def _build_parser() -> _ArgumentParser:
     bench.add_argument("--datasets", default="reachBA,reachGrid,smokersBA,smokersGrid",
                        help="comma-separated dataset names")
     bench.add_argument("--sizes", required=True, help="comma-separated sizes")
-    bench.add_argument("--runs", type=int, default=10)
+    bench.add_argument("--runs", type=_RUNS, default=10)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--engine", choices=("enum", "twoamc"), default="enum")
-    bench.add_argument("--timeout", type=float, default=None,
+    bench.add_argument("--timeout", type=_SECONDS, default=None,
                        help="per-row solve budget in seconds")
-    bench.add_argument("--max-prob-facts", type=int, default=DEFAULT_MAX_PROB_FACTS)
-    bench.add_argument("--max-undefined", type=int, default=DEFAULT_MAX_UNDEFINED)
+    bench.add_argument("--max-prob-facts", type=_CAP, default=DEFAULT_MAX_PROB_FACTS)
+    bench.add_argument("--max-undefined", type=_CAP, default=DEFAULT_MAX_UNDEFINED)
     bench.add_argument("--out", help="write CSV here instead of stdout")
     return parser
 

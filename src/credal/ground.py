@@ -11,6 +11,12 @@ the next round's new atoms.  Rules that are already ground are kept
 verbatim.  Instances whose positive body can never be derived are omitted;
 they cannot fire under any of the semantics computed downstream, so the
 result is interchangeable with the full naive grounding.
+
+Grounding builds no reference cycle (the recursive join is a method, not a
+closure that refers to itself), so a grounding and its scratch state are
+freed by reference counting as soon as the caller drops them, not at the
+cyclic collector's next pass; ``tests/test_memory.py`` guards this for
+every library entry point.
 """
 
 from __future__ import annotations
@@ -145,6 +151,40 @@ def _compile_rule(rule: Rule):
     return head, body, env, plans
 
 
+class _Grounder:
+    """The grounder's state: the ground rules emitted so far, the atoms
+    derived so far, indexed, and the heads new in this round."""
+
+    __slots__ = ("rules", "known", "fresh", "derived")
+
+    def __init__(self, rules: set[Rule]):
+        self.rules = rules
+        self.known: set[Atom] = set()
+        self.fresh: dict[tuple[str, int], list[Atom]] = {}
+        self.derived = _AtomIndex()
+
+    def emit(self, head, body, env) -> None:
+        atom = Atom(head[0], tuple(env[s] for s in head[1]))
+        self.rules.add(Rule(atom, tuple(
+            Literal(Atom(pred, tuple(env[s] for s in args)), negated)
+            for pred, args, negated in body)))
+        if atom not in self.known:
+            self.known.add(atom)
+            self.fresh.setdefault(atom.signature, []).append(atom)
+
+    def join(self, head, body, env, steps, k, source) -> None:
+        if k == len(steps):
+            self.emit(head, body, env)
+            return
+        signature, probe, probe_slots, binds, checks = steps[k]
+        for atom in source.lookup(signature, probe, tuple(env[s] for s in probe_slots)):
+            args = atom.args
+            for p, s in binds:
+                env[s] = args[p]
+            if all(args[p] == env[s] for p, s in checks):
+                self.join(head, body, env, steps, k + 1, self.derived)
+
+
 def ground_program(program: Program) -> GroundProgram:
     """Instantiate every rule over matches of its positive body against
     the atoms derivable by positive rule application (semi-naive).
@@ -160,48 +200,23 @@ def ground_program(program: Program) -> GroundProgram:
         if bad:
             raise ValueError(f"unsafe rule '{rule}': variable(s) {sorted(bad)}")
 
-    ground_rules = {r for r in program.rules
-                    if r.head.is_ground() and all(l.atom.is_ground() for l in r.body)}
+    grounder = _Grounder({r for r in program.rules
+                          if r.head.is_ground() and all(l.atom.is_ground() for l in r.body)})
     compiled = [_compile_rule(r) for r in program.rules]
-    known: set[Atom] = set()
-    fresh: dict[tuple[str, int], list[Atom]] = {}
-    derived = _AtomIndex()
-
-    def emit(head, body, env):
-        atom = Atom(head[0], tuple(env[s] for s in head[1]))
-        ground_rules.add(Rule(atom, tuple(
-            Literal(Atom(pred, tuple(env[s] for s in args)), negated)
-            for pred, args, negated in body)))
-        if atom not in known:
-            known.add(atom)
-            fresh.setdefault(atom.signature, []).append(atom)
-
-    def join(head, body, env, steps, k, source):
-        if k == len(steps):
-            emit(head, body, env)
-            return
-        signature, probe, probe_slots, binds, checks = steps[k]
-        for atom in source.lookup(signature, probe, tuple(env[s] for s in probe_slots)):
-            args = atom.args
-            for p, s in binds:
-                env[s] = args[p]
-            if all(args[p] == env[s] for p, s in checks):
-                join(head, body, env, steps, k + 1, derived)
-
     for head, body, env, plans in compiled:
         if not plans:  # empty positive body: ground by safety, fires once
-            emit(head, body, env)
-    while fresh:
+            grounder.emit(head, body, env)
+    while grounder.fresh:
         delta = _AtomIndex()
-        for signature, atoms in fresh.items():
+        for signature, atoms in grounder.fresh.items():
             delta.add(signature, atoms)
-            derived.add(signature, atoms)
-        fresh = {}
+            grounder.derived.add(signature, atoms)
+        grounder.fresh = {}
         for head, body, env, plans in compiled:
             for steps in plans:
                 if steps[0][0] in delta.by_signature:
-                    join(head, body, env, steps, 0, delta)
-    return GroundProgram.from_rules(ground_rules)
+                    grounder.join(head, body, env, steps, 0, delta)
+    return GroundProgram.from_rules(grounder.rules)
 
 
 def build_call_graph(program: Program) -> CallGraph:

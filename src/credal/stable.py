@@ -17,6 +17,9 @@ search grows with the answer sets and pruned branches, not with the 2^k
 subsets of k undefined atoms: the even ring ``a_i :- not a_{i+1 mod 18}``
 takes 27 nodes.  Answer sets are frozensets of the atom ids of an
 ``IndexedProgram``; only ``enumerate_answer_sets`` maps them to atoms.
+The search is a module-level recursive generator that is passed its
+context, so it builds no reference cycle and each world's sets are freed
+by reference counting (guarded by ``tests/test_memory.py``).
 """
 
 from __future__ import annotations
@@ -78,26 +81,32 @@ def iter_answer_sets(index: IndexedProgram, facts, max_undefined: int,
     watch = watch_list(rules, undef)
     base = frozenset(true_ids)
 
-    def search(yes, no, true):
-        if deadline is not None and clock() > deadline:
-            raise SolveTimeout(f"time budget exceeded in the answer-set search "
-                               f"over {len(undef)} undefined atoms")
-        poss = least_model(rules, watch, true | yes, ())
-        if not yes <= poss:
-            return
-        true = least_model(rules, watch, poss - no, ())
-        if not true.isdisjoint(no):
-            return
-        for a in undef:
-            if a in poss and a not in true and a not in yes and a not in no:
-                yield from search(yes | {a}, no, true)
-                yield from search(yes, no | {a}, true)
-                return
-        model = true | yes
-        if least_model(rules, watch, model, ()) == model:
-            yield base | model
+    yield from _search(rules, watch, undef, base, deadline, clock,
+                       frozenset(), frozenset(), frozenset())
 
-    yield from search(frozenset(), frozenset(), frozenset())
+
+def _search(rules, watch, undef, base, deadline, clock, yes, no, true):
+    """The search node assuming ``yes`` true and ``no`` false, below the
+    lower bound ``true``; it yields ``base`` plus each answer set found."""
+    if deadline is not None and clock() > deadline:
+        raise SolveTimeout(f"time budget exceeded in the answer-set search "
+                           f"over {len(undef)} undefined atoms")
+    poss = least_model(rules, watch, true | yes, ())
+    if not yes <= poss:
+        return
+    true = least_model(rules, watch, poss - no, ())
+    if not true.isdisjoint(no):
+        return
+    for a in undef:
+        if a in poss and a not in true and a not in yes and a not in no:
+            yield from _search(rules, watch, undef, base, deadline, clock,
+                               yes | {a}, no, true)
+            yield from _search(rules, watch, undef, base, deadline, clock,
+                               yes, no | {a}, true)
+            return
+    model = true | yes
+    if least_model(rules, watch, model, ()) == model:
+        yield base | model
 
 
 def enumerate_answer_sets(g: GroundProgram, max_undefined: int = 24) -> frozenset:

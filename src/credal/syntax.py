@@ -69,12 +69,24 @@ def var(name: str) -> Term:
 
 @dataclass(frozen=True, order=True)
 class Atom:
+    """A predicate applied to terms.  Ground atoms key the sets and dicts
+    of every layer, so the hash (the one the dataclass would compute) is
+    taken once, at construction; pickling rebuilds the atom, so the stored
+    hash never crosses into a process with another string-hash seed."""
+
     predicate: str
     args: tuple[Term, ...] = ()
 
     def __post_init__(self):
         if not self.predicate:
             raise ValueError("empty predicate name")
+        object.__setattr__(self, "_hash", hash((self.predicate, self.args)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return Atom, (self.predicate, self.args)
 
     @property
     def arity(self) -> int:

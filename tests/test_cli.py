@@ -85,6 +85,36 @@ def test_bench_rejected_sweep_is_a_usage_error(capsys, args, message):
     assert out.err == f"error[usage]: {message}\n"
 
 
+@pytest.mark.parametrize("args,message", [
+    (["bench", "--sizes", "2", "--runs", "0"], "argument --runs: must be at least 1, got 0"),
+    (["bench", "--sizes", "2", "--runs", "-1"], "argument --runs: must be at least 1, got -1"),
+    (["bench", "--sizes", "2", "--timeout", "0"], "argument --timeout: must be positive, got 0"),
+    (["bench", "--sizes", "2", "--timeout", "-1"], "argument --timeout: must be positive, got -1"),
+    (["bench", "--sizes", "2", "--max-undefined", "-1"],
+     "argument --max-undefined: must be at least 0, got -1"),
+    (["bench", "--sizes", "2", "--max-prob-facts", "-1"],
+     "argument --max-prob-facts: must be at least 0, got -1"),
+    (["solve", "FILE", "--query", "path(a,d)", "--max-undefined", "-1"],
+     "argument --max-undefined: must be at least 0, got -1"),
+    (["solve", "FILE", "--query", "path(a,d)", "--max-prob-facts", "-1"],
+     "argument --max-prob-facts: must be at least 0, got -1"),
+], ids=["bench-runs-0", "bench-runs-neg", "bench-timeout-0", "bench-timeout-neg",
+        "bench-max-undefined", "bench-max-prob-facts", "solve-max-undefined",
+        "solve-max-prob-facts"])
+def test_unusable_count_or_budget_is_a_usage_error(prob_edges, capsys, args, message):
+    code = dispatch([prob_edges if a == "FILE" else a for a in args])
+    out = capsys.readouterr()
+    assert code == 1
+    assert out.out == ""
+    assert out.err == f"error[usage]: {message}\n"
+
+
+def test_zero_caps_are_accepted(prob_edges, capsys):
+    code = dispatch(["solve", prob_edges, "--query", "path(a,d)", "--max-undefined", "0"])
+    assert code == 2  # a cap of 0 is usable; this query needs more
+    assert capsys.readouterr().err.startswith("error[limit]:")
+
+
 def test_olon_exit_code(tmp_path, capsys):
     path = tmp_path / "olon.pasp"
     path.write_text(programs.OLON_LOOP + "0.5::x.\n")

@@ -1,7 +1,14 @@
+import dataclasses
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import credal
 from credal.syntax import (Atom, Literal, ParseError, ProbFact, Program,
                            ProgramError, Query, Rule, canonical_program, const,
                            parse_program, parse_query, render_program, var)
@@ -136,3 +143,32 @@ def test_prob_fact_validation():
         ProbFact(1.2, Atom("a"))
     with pytest.raises(ValueError):
         ProbFact(0.5, Atom("a", (var("X"),)))
+
+
+def test_atom_hash_survives_pickling_across_hash_seeds():
+    # an atom's hash is taken once and stored; a pickle must not carry it
+    # into a process whose string hashes differ
+    code = ("import pickle, sys\n"
+            "from credal.syntax import Atom, const\n"
+            "atoms = {Atom('p', (const('a'), const(str(i)))) for i in range(50)}\n"
+            "sys.stdout.buffer.write(pickle.dumps(atoms | {Atom('q')}))\n")
+    src = str(Path(credal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    atoms = pickle.loads(proc.stdout)
+    fresh = {Atom("p", (const("a"), const(str(i)))) for i in range(50)} | {Atom("q")}
+    assert all(a in atoms for a in fresh)
+    assert atoms == fresh
+    assert sorted(map(hash, atoms)) == sorted(map(hash, fresh))
+
+
+def test_atom_keeps_its_dataclass_surface():
+    a, b = Atom("p", (const("a"),)), Atom("p", (const("b"),))
+    assert repr(a) == "Atom(predicate='p', args=(Term(kind='constant', name='a'),))"
+    assert a == Atom("p", (const("a"),)) and a != b
+    assert hash(a) == hash(("p", (const("a"),)))
+    assert a < b and sorted([b, Atom("o"), a]) == [Atom("o"), a, b]
+    assert [f.name for f in dataclasses.fields(Atom)] == ["predicate", "args"]
+    assert pickle.loads(pickle.dumps(a)) == a
