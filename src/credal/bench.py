@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from .bounds import (DEFAULT_MAX_PROB_FACTS, DEFAULT_MAX_UNDEFINED, ENGINES,
                      CredalUndefinedError, ProbFactLimitError, SolveTimeout,
                      _interval)
-from .ground import GroundProgram, OlonError, ground_program
+from .ground import GroundProgram, OlonError, ground_program, with_facts_as_rules
 from .residual import CERTAIN_TRUE, extract_residual
-from .stable import UndefinedAtomLimitError
-from .syntax import (Atom, Program, ProbFact, Query, Rule, const,
-                     parse_program, render_program)
+from .stable import UndefinedAtomLimitError, check_caps
+from .syntax import (Atom, Program, ProbFact, Query, const, parse_program,
+                     render_program)
 
 REACH_RULES = """
 edge(X,Y) :- e(X,Y), not nedge(X,Y).
@@ -161,13 +161,6 @@ GENERATORS = {
 }
 
 
-def with_facts_as_rules(program: Program) -> Program:
-    """The same program with probabilistic facts demoted to plain facts,
-    for grounding and structural statistics."""
-    facts = tuple(Rule(pf.atom) for pf in program.prob_facts)
-    return Program((), program.rules + facts)
-
-
 def ground_rule_count(program: Program) -> int:
     return len(ground_program(with_facts_as_rules(program)).rules)
 
@@ -244,16 +237,22 @@ def run_benchmark(datasets, sizes, runs: int = 10,
     lazily.
 
     Every instance is generated up front, so an unknown dataset or a size
-    that a generator rejects raises ``ValueError`` before any row.  Solving
-    respects ``time_budget`` seconds per row; rows that run out of budget
-    or hit a cap are reported with status timeout/error instead of
-    aborting the sweep.  All semantic columns are deterministic under a
-    fixed seed; the *_ms columns read ``clock``, so passing a monotone stub
-    makes entire rows reproducible byte for byte.
+    that a generator rejects raises ``ValueError`` before any row, as do
+    ``runs`` below 1, a ``time_budget`` that is not positive and a negative
+    cap.  Solving respects ``time_budget`` seconds per row; rows that run
+    out of budget or hit a cap are reported with status timeout/error
+    instead of aborting the sweep.  All semantic columns are deterministic
+    under a fixed seed; the *_ms columns read ``clock``, so passing a
+    monotone stub makes entire rows reproducible byte for byte.
     """
     unknown = [d for d in datasets if d not in GENERATORS]
     if unknown:
         raise ValueError(f"unknown dataset(s): {', '.join(unknown)}")
+    if runs < 1:
+        raise ValueError(f"runs must be at least 1, got {runs}")
+    if time_budget is not None and time_budget <= 0:
+        raise ValueError(f"time_budget must be positive, got {time_budget}")
+    check_caps(max_prob_facts=max_prob_facts, max_undefined=max_undefined)
     instances = [GENERATORS[dataset](size, instance_seed(base_seed, dataset, size, run), run)
                  for dataset in datasets for size in sizes for run in range(runs)]
     solve = ENGINES[engine]

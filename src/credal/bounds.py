@@ -23,10 +23,11 @@ import time
 from dataclasses import dataclass
 
 from . import stable
-from .ground import GroundProgram, OlonError, build_call_graph, detect_olon, ground_program
-from .residual import encode_probabilistic_facts, extract_residual, CERTAIN_TRUE, CERTAIN_FALSE
-from .stable import SolveTimeout, iter_answer_sets
-from .syntax import Program, Query, Rule
+from .ground import (GroundProgram, OlonError, build_call_graph, detect_olon,
+                     ground_program, with_facts_as_rules)
+from .residual import extract_residual, CERTAIN_TRUE, CERTAIN_FALSE
+from .stable import SolveTimeout, check_caps, iter_answer_sets
+from .syntax import Program, Query
 
 DEFAULT_MAX_PROB_FACTS = 25
 DEFAULT_MAX_UNDEFINED = 24
@@ -142,10 +143,10 @@ class _WorldSolver:
     def __init__(self, program: Program, query: Query,
                  max_prob_facts: int, max_undefined: int,
                  deadline: float | None, clock):
+        check_caps(max_prob_facts=max_prob_facts, max_undefined=max_undefined)
         if len(program.prob_facts) > max_prob_facts:
             raise ProbFactLimitError(len(program.prob_facts), max_prob_facts)
-        encoded, _ = encode_probabilistic_facts(program)
-        witness = detect_olon(build_call_graph(encoded))
+        witness = detect_olon(build_call_graph(program))
         if witness is not None:
             raise OlonError(witness)
         self.program = program
@@ -153,11 +154,11 @@ class _WorldSolver:
         self.max_undefined = max_undefined
         self.deadline = deadline
         self.clock = clock
-        fact_rules = [Rule(pf.atom) for pf in program.prob_facts]
-        base = ground_program(Program((), program.rules + tuple(fact_rules)))
-        fact_set = set(fact_rules)
-        core = GroundProgram(tuple(r for r in base.rules if r not in fact_set),
-                             base.herbrand_base | {pf.atom for pf in program.prob_facts})
+        # validation leaves the fact rules `a.` the only ones headed by a fact
+        base = ground_program(with_facts_as_rules(program))
+        facts = {pf.atom for pf in program.prob_facts}
+        core = GroundProgram(tuple(r for r in base.rules if r.head not in facts),
+                             base.herbrand_base)
         self.index = stable.IndexedProgram(core)
         self.fact_ids = [self.index.ids[pf.atom] for pf in program.prob_facts]
         self.n = len(program.prob_facts)
@@ -235,6 +236,7 @@ def solve_query(program: Program, query: Query, *, mode: str = "residual",
 
     Returns ``(interval, residual_or_None)``.
     """
+    check_caps(max_prob_facts=max_prob_facts, max_undefined=max_undefined)
     solve = ENGINES[engine]
     if mode == "direct":
         interval = solve(program, query, max_prob_facts=max_prob_facts,

@@ -18,8 +18,8 @@ from . import bench as bench_mod
 from .bounds import (DEFAULT_MAX_PROB_FACTS, DEFAULT_MAX_UNDEFINED,
                      CredalUndefinedError, ProbFactLimitError, SolveTimeout,
                      solve_query)
-from .ground import (OlonError, build_call_graph, build_dependency_graph,
-                     dot_call_graph, dot_dependency_graph, ground_program)
+from .ground import (OlonError, build_call_graph, build_dependency_graph, dot_call_graph,
+                     dot_dependency_graph, ground_program, with_facts_as_rules)
 from .residual import extract_residual
 from .stable import UndefinedAtomLimitError
 from .syntax import (ParseError, ProgramError, parse_program, parse_query,
@@ -106,7 +106,7 @@ def _emit_graphs(program, input_path: str) -> None:
     stem = Path(input_path).stem
     call_path = Path(f"{stem}.call.dot")
     call_path.write_text(dot_call_graph(build_call_graph(program)), encoding="utf-8")
-    grounded = ground_program(bench_mod.with_facts_as_rules(program))
+    grounded = ground_program(with_facts_as_rules(program))
     dep_path = Path(f"{stem}.dep.dot")
     dep_path.write_text(dot_dependency_graph(build_dependency_graph(grounded)),
                         encoding="utf-8")
@@ -149,7 +149,7 @@ def _cmd_residual(args) -> int:
 
 def _cmd_stats(args) -> int:
     program = _read_program(args.input)
-    grounded = ground_program(bench_mod.with_facts_as_rules(program))
+    grounded = ground_program(with_facts_as_rules(program))
     stats = bench_mod.primal_graph_stats(grounded)
     print(f"bags={stats.bag_count} width_ub={stats.width_upper_bound} "
           f"vertices={stats.vertex_count}")

@@ -189,16 +189,12 @@ def ground_program(program: Program) -> GroundProgram:
     """Instantiate every rule over matches of its positive body against
     the atoms derivable by positive rule application (semi-naive).
 
-    The input must be a normal program: probabilistic facts are not
-    grounded here (encode them first, or turn them into plain facts).
+    The input is a normal program, safe as every ``Program`` is; encode its
+    probabilistic facts or demote them (``with_facts_as_rules``) first.
     """
     if program.prob_facts:
         raise ValueError("cannot ground a program with probabilistic facts; "
                          "encode them or add them as plain facts first")
-    for rule in program.rules:
-        bad = rule.unsafe_variables()
-        if bad:
-            raise ValueError(f"unsafe rule '{rule}': variable(s) {sorted(bad)}")
 
     grounder = _Grounder({r for r in program.rules
                           if r.head.is_ground() and all(l.atom.is_ground() for l in r.body)})
@@ -217,6 +213,11 @@ def ground_program(program: Program) -> GroundProgram:
                 if steps[0][0] in delta.by_signature:
                     grounder.join(head, body, env, steps, 0, delta)
     return GroundProgram.from_rules(grounder.rules)
+
+
+def with_facts_as_rules(program: Program) -> Program:
+    """The program with its probabilistic facts demoted to plain facts."""
+    return Program((), program.rules + tuple(Rule(pf.atom) for pf in program.prob_facts))
 
 
 def build_call_graph(program: Program) -> CallGraph:
@@ -238,7 +239,11 @@ def detect_olon(graph: CallGraph) -> OlonWitness | None:
     is reachable from its even copy, and the witness comes from the first
     such ``v`` in sorted order.  The cover is symmetric ((a,p)->(b,q) is an
     edge iff (a,1-p)->(b,1-q) is), so the two copies then share a strongly
-    connected component and no component pass is needed.
+    connected component and no component pass is needed.  Nor is the fact
+    encoding: its loop ``a :- not __not_a.`` / ``__not_a :- not a.`` adds
+    only the negative edges p -> __not_p -> p, so a closed walk through
+    ``__not_p`` crosses both and keeps its parity, and a program and its
+    encoding have the same odd cycles.
     """
     nodes = sorted(graph.nodes)
     cover: dict[tuple, list[tuple]] = {}

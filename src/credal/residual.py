@@ -105,10 +105,10 @@ def extract_residual(program: Program, query: Query) -> ResidualProgram:
     restricted to the rules whose head the query reaches, and surviving
     loops are decoded back into probabilistic facts.
     """
-    encoded, encoding = encode_probabilistic_facts(program)
-    witness = detect_olon(build_call_graph(encoded))
+    witness = detect_olon(build_call_graph(program))
     if witness is not None:
         raise OlonError(witness)
+    encoded, encoding = encode_probabilistic_facts(program)
 
     g = ground_program(encoded)
     model = wfm(g)

@@ -47,6 +47,13 @@ class SolveTimeout(Exception):
     """Cooperative per-query time budget exceeded."""
 
 
+def check_caps(**caps: int) -> None:
+    """Refuse a negative cap, which no run can use, before any work."""
+    for name, value in caps.items():
+        if value < 0:
+            raise ValueError(f"{name} must be at least 0, got {value}")
+
+
 def _evaluate_decided(rules, val):
     """The rules with every literal that ``val`` decides evaluated away: a
     rule with a false positive or a true negative literal goes, and true
@@ -111,6 +118,7 @@ def _search(rules, watch, undef, base, deadline, clock, yes, no, true):
 
 def enumerate_answer_sets(g: GroundProgram, max_undefined: int = 24) -> frozenset:
     """All stable models of the ground program, as a set of atom sets."""
+    check_caps(max_undefined=max_undefined)
     index = IndexedProgram(g)
     return frozenset(index.to_atoms(ids) for ids in
                      iter_answer_sets(index, (), max_undefined, None, None))

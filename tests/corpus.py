@@ -70,6 +70,36 @@ def random_pasp(rng: random.Random) -> Program:
     return Program(tuple(facts), tuple(rules))
 
 
+def random_pasp_with_fact_heads(rng: random.Random) -> Program:
+    """A small random program whose rules also define the fact predicates
+    g/1 and h/2 (the first rule always does), at other constants: the
+    probabilistic facts range over a and b, and each such rule head
+    carries c or d in some argument, so it unifies with no fact."""
+    facts = {}
+    for _ in range(rng.randint(1, 4)):
+        atom = _random_atom(rng, FACT_PREDS, CONSTANTS[:2])
+        facts.setdefault(atom, ProbFact(round(rng.uniform(0.05, 0.95), 3), atom))
+    preds = FACT_PREDS + RULE_PREDS
+    rules = []
+    for _ in range(rng.randint(1, 8)):
+        pos = [Literal(_random_atom(rng, preds, CONSTANTS + [var("X"), var("Y")]))
+               for _ in range(rng.randint(0, 2))]
+        terms = CONSTANTS + sorted(
+            {t for lit in pos for t in lit.atom.args if t.is_variable}, key=str)
+        neg = [Literal(_random_atom(rng, preds, terms), negated=True)
+               for _ in range(rng.randint(0, 2))]
+        if not rules or rng.random() < 0.5:
+            name, arity = rng.choice(FACT_PREDS[1:])
+            args = [rng.choice(terms) for _ in range(arity)]
+            args[rng.randrange(arity)] = rng.choice(CONSTANTS[2:])
+            head = Atom(name, tuple(args))
+        else:
+            head = _random_atom(rng, RULE_PREDS, terms)
+        rules.append(Rule(head, tuple(pos + neg)))
+    return Program(tuple(sorted(facts.values(), key=lambda pf: str(pf.atom))),
+                   tuple(sorted(set(rules), key=str)))
+
+
 def random_olon_free_pasp(rng: random.Random, max_undefined: int = 18) -> Program:
     """Rejection-sample until the encoded program has no odd loop and its
     well-founded model leaves few enough atoms undefined to enumerate."""

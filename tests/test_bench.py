@@ -247,6 +247,20 @@ def test_run_benchmark_rejects_unknown_dataset():
         list(run_benchmark(["nope"], [2], runs=1))
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"runs": 0}, "runs must be at least 1, got 0"),
+    ({"runs": -1}, "runs must be at least 1, got -1"),
+    ({"time_budget": 0}, "time_budget must be positive, got 0"),
+    ({"time_budget": -1.5}, "time_budget must be positive, got -1.5"),
+    ({"max_prob_facts": -1}, "max_prob_facts must be at least 0, got -1"),
+    ({"max_undefined": -1}, "max_undefined must be at least 0, got -1"),
+])
+def test_run_benchmark_refuses_unusable_counts(kwargs, message):
+    # raised by the call itself, before the row iterator is returned
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_benchmark(["reachGrid"], [2], **{"runs": 1, **kwargs})
+
+
 def test_ground_rule_count_monotone_under_residual():
     from credal.residual import extract_residual
 

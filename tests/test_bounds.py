@@ -188,6 +188,26 @@ def test_prob_fact_cap():
     assert exc.value.count == 26 and exc.value.limit == 25
 
 
+@pytest.mark.parametrize("cap", ["max_prob_facts", "max_undefined"])
+def test_solve_query_refuses_negative_cap_before_any_work(cap):
+    # an odd loop would raise OlonError once any work started
+    olon = parse_program(programs.OLON_LOOP + "0.5::x.\n")
+    decided = parse_program("a.\n")  # the residual decides the query
+    for program, mode in ((olon, "direct"), (olon, "residual"), (decided, "residual")):
+        with pytest.raises(ValueError, match=f"^{cap} must be at least 0, got -1$"):
+            solve_query(program, parse_query("p"), mode=mode, **{cap: -1})
+    interval, _ = solve_query(decided, parse_query("a"), max_prob_facts=0, max_undefined=0)
+    assert (interval.lower, interval.upper) == (1.0, 1.0)
+
+
+@pytest.mark.parametrize("cap", ["max_prob_facts", "max_undefined"])
+def test_engines_refuse_negative_cap_before_any_work(cap):
+    olon = parse_program(programs.OLON_LOOP + "0.5::x.\n")
+    for engine in (credal_bounds_enumeration, credal_bounds_2amc):
+        with pytest.raises(ValueError, match=f"^{cap} must be at least 0, got -1$"):
+            engine(olon, parse_query("p"), **{cap: -1})
+
+
 def test_engine_refuses_olon():
     p = parse_program(programs.OLON_LOOP + "0.5::x.\n")
     with pytest.raises(OlonError):

@@ -7,14 +7,15 @@ from credal.ground import (CallGraph, OlonError, OlonWitness, build_call_graph,
                            dot_call_graph, dot_dependency_graph,
                            ground_program, reachable_atoms)
 from credal.bench import gen_reach_grid
-from credal.residual import encode_probabilistic_facts
+from credal.bounds import credal_bounds_2amc, credal_bounds_enumeration, solve_query
+from credal.residual import encode_probabilistic_facts, extract_residual
 from credal.stable import enumerate_answer_sets
 from credal.syntax import Atom, Query, parse_program, parse_query
 from credal.wfs import wfm
 
 import programs
 from corpus import (derivable_ground, has_odd_cycle, make_corpus, naive_ground,
-                    random_pasp, relevant_subprogram)
+                    random_pasp, random_pasp_with_fact_heads, relevant_subprogram)
 
 
 def atoms(*names):
@@ -164,6 +165,60 @@ def test_detect_olon_witness_with_two_odd_loops():
     assert witness == OlonWitness((("b", 0), ("c", 0), ("d", 0)), ("-", "+", "+"))
     assert str(OlonError(witness)) == \
         "odd loop over negation: b/0 -[-]-> c/0 -[+]-> d/0 -[+]-> b/0"
+
+
+def test_detect_olon_on_program_agrees_with_encoded_program():
+    # the fact loops add only even two-cycles p -> __not_p -> p, so the
+    # program's own call graph has an odd loop exactly when the encoded
+    # one does, with the same witness unless a fact predicate lies on one
+    rng = random.Random(1010)
+    olon = same = 0
+    for _ in range(2000):
+        program = random_pasp_with_fact_heads(rng)
+        graph = build_call_graph(program)
+        witness = detect_olon(graph)
+        encoded = detect_olon(build_call_graph(encode_probabilistic_facts(program)[0]))
+        assert (witness is None) == (encoded is None), program
+        if not any(_on_odd_loop(graph, pf.atom.signature) for pf in program.prob_facts):
+            assert witness == encoded, program
+            same += witness is not None
+        for check in (extract_residual, credal_bounds_enumeration):
+            if witness is None:
+                check(program, Query(Atom("p")))
+            else:
+                with pytest.raises(OlonError) as exc:
+                    check(program, Query(Atom("p")))
+                assert exc.value.witness == witness
+        olon += witness is not None
+    assert 500 < olon < 1500 and same > 100
+
+
+def _on_odd_loop(graph, node) -> bool:
+    """Whether a closed walk through ``node`` crosses an odd number of
+    negative edges: a search of the parity cover from its even copy."""
+    seen, frontier = {(node, 0)}, [(node, 0)]
+    while frontier:
+        current, parity = frontier.pop()
+        for src, dst, sign in graph.edges:
+            nxt = (dst, parity ^ (sign == "-"))
+            if src == current and nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return (node, 1) in seen
+
+
+def test_olon_witness_is_first_predicate_on_an_odd_loop():
+    # two odd loops, one through the fact predicate e/1: the witness is the
+    # loop through d/0, the first predicate on one in sorted order
+    program = parse_program("0.5::e(a).\ne(b) :- not e(b).\nd :- not d.\n")
+    message = "odd loop over negation: d/0 -[-]-> d/0"
+    assert detect_olon(build_call_graph(program)) == OlonWitness((("d", 0),), ("-",))
+    for check in (extract_residual, credal_bounds_enumeration, credal_bounds_2amc):
+        with pytest.raises(OlonError) as exc:
+            check(program, parse_query("d"))
+        assert str(exc.value) == message
+    with pytest.raises(OlonError, match="d/0 -"):
+        solve_query(program, parse_query("d"), mode="direct")
 
 
 def _random_call_graph(rng):

@@ -119,6 +119,14 @@ def test_enumeration_limit_error():
     assert len(enumerate_answer_sets(g, max_undefined=26)) == 2 ** 13
 
 
+def test_enumeration_refuses_negative_cap():
+    g = ground_program(parse_program("a :- not b.\nb :- not a."))
+    with pytest.raises(ValueError, match="^max_undefined must be at least 0, got -1$"):
+        enumerate_answer_sets(g, max_undefined=-1)
+    with pytest.raises(UndefinedAtomLimitError):
+        enumerate_answer_sets(g, max_undefined=0)
+
+
 def test_chained_components_need_no_global_check():
     # undefined atoms split into the components {a,b} < {c,d} < {e,f} <
     # {g,h}; {c,d} is a positive loop supported only through a, and the
