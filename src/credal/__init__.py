@@ -8,19 +8,18 @@ the query's lower/upper probability over all answer-set distributions.
 from .bounds import (CredalUndefinedError, InnerValue, OuterValue,
                      ProbabilityInterval, ProbFactLimitError, SolveTimeout,
                      World, credal_bounds_2amc, credal_bounds_enumeration,
-                     f_transform, inner_count, solve_query, world_probability)
+                     f_transform, solve_query, world_probability)
 from .ground import (CallGraph, DependencyGraph, GroundProgram, OlonError,
                      OlonWitness, build_call_graph, build_dependency_graph,
                      detect_olon, ground_program)
-from .residual import (CERTAIN_FALSE, CERTAIN_TRUE, UNDEFINED, FactEncoding,
-                       ResidualProgram, decode_probabilistic_facts,
-                       encode_probabilistic_facts, extract_residual)
-from .stable import (AnswerSet, UndefinedAtomLimitError, enumerate_answer_sets,
-                     iter_answer_sets, project_answer_sets)
+from .residual import (CERTAIN_FALSE, CERTAIN_TRUE, UNDEFINED, ResidualProgram,
+                       decode_probabilistic_facts, encode_probabilistic_facts,
+                       extract_residual)
+from .stable import (UndefinedAtomLimitError, enumerate_answer_sets,
+                     iter_answer_sets)
 from .syntax import (Atom, Literal, ParseError, ProbFact, Program,
                      ProgramError, Query, Rule, Term, const, parse_program,
                      parse_query, render_program, var)
-from .wfs import (ThreeValuedInterpretation, dynamically_stratified, wf_reduct,
-                  wfm)
+from .wfs import ThreeValuedInterpretation, wf_reduct, wfm
 
 __version__ = "0.1.0"

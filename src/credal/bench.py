@@ -19,9 +19,9 @@ import time
 import zlib
 from dataclasses import dataclass
 
-from .bounds import (DEFAULT_MAX_PROB_FACTS, DEFAULT_MAX_UNDEFINED, ENGINES,
+from .bounds import (DEFAULT_MAX_PROB_FACTS, DEFAULT_MAX_UNDEFINED,
                      CredalUndefinedError, ProbFactLimitError, SolveTimeout,
-                     _interval)
+                     _interval, select_engine)
 from .ground import GroundProgram, OlonError, ground_program, with_facts_as_rules
 from .residual import CERTAIN_TRUE, extract_residual
 from .stable import UndefinedAtomLimitError, check_caps
@@ -161,10 +161,6 @@ GENERATORS = {
 }
 
 
-def ground_rule_count(program: Program) -> int:
-    return len(ground_program(with_facts_as_rules(program)).rules)
-
-
 def primal_graph(g: GroundProgram) -> dict[Atom, set[Atom]]:
     """Undirected co-occurrence graph of a grounding as adjacency sets:
     ground atoms are vertices, inserted in ``str`` order, and adjacent when
@@ -236,15 +232,17 @@ def run_benchmark(datasets, sizes, runs: int = 10,
     """One CSV row per (dataset, size, run, mode), in that order, produced
     lazily.
 
-    Every instance is generated up front, so an unknown dataset or a size
-    that a generator rejects raises ``ValueError`` before any row, as do
-    ``runs`` below 1, a ``time_budget`` that is not positive and a negative
-    cap.  Solving respects ``time_budget`` seconds per row; rows that run
-    out of budget or hit a cap are reported with status timeout/error
-    instead of aborting the sweep.  All semantic columns are deterministic
-    under a fixed seed; the *_ms columns read ``clock``, so passing a
-    monotone stub makes entire rows reproducible byte for byte.
+    Every instance is generated up front, so ``ValueError`` comes before any
+    row for an empty dataset or size list, an unknown dataset or engine, a size
+    that a generator rejects, ``runs`` below 1, a ``time_budget`` that is not
+    positive and a negative cap.  Solving respects ``time_budget`` seconds per
+    row; rows that run out of budget or hit a cap are reported with status
+    timeout/error instead of aborting the sweep.  All semantic columns are
+    deterministic under a fixed seed; the *_ms columns read ``clock``, so
+    passing a monotone stub makes entire rows reproducible byte for byte.
     """
+    if not datasets or not sizes:
+        raise ValueError("a sweep needs at least one dataset and one size")
     unknown = [d for d in datasets if d not in GENERATORS]
     if unknown:
         raise ValueError(f"unknown dataset(s): {', '.join(unknown)}")
@@ -253,9 +251,9 @@ def run_benchmark(datasets, sizes, runs: int = 10,
     if time_budget is not None and time_budget <= 0:
         raise ValueError(f"time_budget must be positive, got {time_budget}")
     check_caps(max_prob_facts=max_prob_facts, max_undefined=max_undefined)
+    solve = select_engine(engine)
     instances = [GENERATORS[dataset](size, instance_seed(base_seed, dataset, size, run), run)
                  for dataset in datasets for size in sizes for run in range(runs)]
-    solve = ENGINES[engine]
     return (_bench_row(instance, mode, engine, solve, time_budget,
                        max_prob_facts, max_undefined, clock)
             for instance in instances for mode in MODES)

@@ -113,21 +113,6 @@ def world_probability(program: Program, world: World) -> float:
     return p
 
 
-def inner_count(world_answer_sets, query: Query) -> InnerValue:
-    """Fold of the inner weights over each answer set.
-
-    Every literal weighs (1, 1) except the negated query, which weighs
-    (0, 1); an answer set therefore multiplies out to (1, 1) when it
-    contains the query and (0, 1) otherwise, and the sum over answer sets
-    is the pair of counts.  ``_WorldSolver.worlds`` takes the same count on
-    atom ids; this form on atom sets is its reference."""
-    n1 = n2 = 0
-    for answer_set in world_answer_sets:
-        n1 += query.atom in answer_set
-        n2 += 1
-    return InnerValue(n1, n2)
-
-
 def f_transform(value: InnerValue) -> OuterValue:
     """Collapse counts to indicator bounds: lower 1 iff the query holds in
     every answer set, upper 1 iff it holds in some."""
@@ -226,6 +211,13 @@ ENGINES = {
 }
 
 
+def select_engine(name: str):
+    """The engine named ``name``; an unknown name raises ``ValueError``."""
+    if name not in ENGINES:
+        raise ValueError(f"unknown engine {name!r}; known engines: {', '.join(ENGINES)}")
+    return ENGINES[name]
+
+
 def solve_query(program: Program, query: Query, *, mode: str = "residual",
                 engine: str = "enum",
                 max_prob_facts: int = DEFAULT_MAX_PROB_FACTS,
@@ -237,7 +229,7 @@ def solve_query(program: Program, query: Query, *, mode: str = "residual",
     Returns ``(interval, residual_or_None)``.
     """
     check_caps(max_prob_facts=max_prob_facts, max_undefined=max_undefined)
-    solve = ENGINES[engine]
+    solve = select_engine(engine)
     if mode == "direct":
         interval = solve(program, query, max_prob_facts=max_prob_facts,
                          max_undefined=max_undefined, deadline=deadline, clock=clock)

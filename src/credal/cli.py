@@ -169,7 +169,7 @@ def _cmd_bench(args) -> int:
                                        base_seed=args.seed,
                                        max_prob_facts=args.max_prob_facts,
                                        max_undefined=args.max_undefined)
-    except ValueError as exc:  # unknown dataset, or a size its generator rejects
+    except ValueError as exc:  # e.g. an empty sweep, or a size a generator rejects
         raise _UsageError(str(exc))
     sink = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:

@@ -36,13 +36,6 @@ class EncodingError(Exception):
     surviving loop lost one of its two rules."""
 
 
-@dataclass
-class FactEncoding:
-    """Bijection between probabilistic fact atoms and their complements."""
-
-    entries: tuple[tuple[Atom, Atom, float], ...]  # (atom, complement, prob)
-
-
 @dataclass(frozen=True)
 class ResidualProgram:
     program: Program
@@ -54,8 +47,9 @@ def _complement_atom(atom: Atom) -> Atom:
     return Atom(COMPLEMENT_PREFIX + atom.predicate, atom.args)
 
 
-def encode_probabilistic_facts(program: Program) -> tuple[Program, FactEncoding]:
-    """Replace every probabilistic fact with its two-rule even loop."""
+def encode_probabilistic_facts(program: Program) -> tuple[Program, tuple]:
+    """Replace every probabilistic fact with its two-rule even loop; return
+    the encoded program and an ``(atom, complement, prob)`` entry per fact."""
     used = {sig[0] for sig in program.predicates()}
     entries = []
     pair_rules = []
@@ -68,15 +62,16 @@ def encode_probabilistic_facts(program: Program) -> tuple[Program, FactEncoding]
         pair_rules.append(Rule(pf.atom, (Literal(na, negated=True),)))
         pair_rules.append(Rule(na, (Literal(pf.atom, negated=True),)))
     encoded = Program((), program.rules + tuple(pair_rules))
-    return encoded, FactEncoding(tuple(entries))
+    return encoded, tuple(entries)
 
 
-def decode_probabilistic_facts(g: GroundProgram, encoding: FactEncoding) -> Program:
-    """Fold surviving even loops back into probabilistic facts."""
+def decode_probabilistic_facts(g: GroundProgram, entries: tuple) -> Program:
+    """Fold surviving even loops back into probabilistic facts, given the
+    encoding's ``(atom, complement, prob)`` entries."""
     rule_set = set(g.rules)
     prob_facts = []
     pair_rules = set()
-    for atom, complement, prob in encoding.entries:
+    for atom, complement, prob in entries:
         fwd = Rule(atom, (Literal(complement, negated=True),))
         bwd = Rule(complement, (Literal(atom, negated=True),))
         have_fwd, have_bwd = fwd in rule_set, bwd in rule_set
@@ -108,7 +103,7 @@ def extract_residual(program: Program, query: Query) -> ResidualProgram:
     witness = detect_olon(build_call_graph(program))
     if witness is not None:
         raise OlonError(witness)
-    encoded, encoding = encode_probabilistic_facts(program)
+    encoded, entries = encode_probabilistic_facts(program)
 
     g = ground_program(encoded)
     model = wfm(g)
@@ -122,6 +117,6 @@ def extract_residual(program: Program, query: Query) -> ResidualProgram:
     keep = reachable_atoms(build_dependency_graph(reduct), query.atom)
     restricted = GroundProgram.from_rules(
         r for r in reduct.rules if r.head in keep and r.head in undefined)
-    decoded = decode_probabilistic_facts(restricted, encoding)
+    decoded = decode_probabilistic_facts(restricted, entries)
     return ResidualProgram(decoded, UNDEFINED,
                            frozenset(pf.atom for pf in decoded.prob_facts))

@@ -25,10 +25,7 @@ by reference counting (guarded by ``tests/test_memory.py``).
 from __future__ import annotations
 
 from .ground import GroundProgram
-from .syntax import Atom
 from .wfs import IndexedProgram, _wfm_ids, least_model, watch_list
-
-AnswerSet = frozenset  # an answer set is a frozenset of ground Atoms
 
 
 class UndefinedAtomLimitError(Exception):
@@ -122,9 +119,3 @@ def enumerate_answer_sets(g: GroundProgram, max_undefined: int = 24) -> frozense
     index = IndexedProgram(g)
     return frozenset(index.to_atoms(ids) for ids in
                      iter_answer_sets(index, (), max_undefined, None, None))
-
-
-def project_answer_sets(answer_sets, atoms: frozenset[Atom]) -> frozenset:
-    """Deduplicated intersections of each answer set with ``atoms``."""
-    atoms = frozenset(atoms)
-    return frozenset(frozenset(a & atoms) for a in answer_sets)

@@ -89,10 +89,6 @@ class Atom:
         return Atom, (self.predicate, self.args)
 
     @property
-    def arity(self) -> int:
-        return len(self.args)
-
-    @property
     def signature(self) -> tuple[str, int]:
         return (self.predicate, len(self.args))
 
@@ -101,10 +97,6 @@ class Atom:
 
     def variables(self) -> set[str]:
         return {t.name for t in self.args if t.is_variable}
-
-    def substitute(self, binding: dict[str, Term]) -> "Atom":
-        return Atom(self.predicate, tuple(
-            binding.get(t.name, t) if t.is_variable else t for t in self.args))
 
     def __str__(self) -> str:
         if not self.args:
@@ -117,9 +109,6 @@ class Literal:
     atom: Atom
     negated: bool = False
 
-    def substitute(self, binding: dict[str, Term]) -> "Literal":
-        return Literal(self.atom.substitute(binding), self.negated)
-
     def __str__(self) -> str:
         return f"not {self.atom}" if self.negated else str(self.atom)
 
@@ -128,16 +117,6 @@ class Literal:
 class Rule:
     head: Atom
     body: tuple[Literal, ...] = ()
-
-    @property
-    def is_fact(self) -> bool:
-        return not self.body
-
-    def positive_body(self) -> tuple[Atom, ...]:
-        return tuple(l.atom for l in self.body if not l.negated)
-
-    def negative_body(self) -> tuple[Atom, ...]:
-        return tuple(l.atom for l in self.body if l.negated)
 
     def unsafe_variables(self) -> set[str]:
         """Head or negative-body variables not bound by any positive body atom."""
@@ -186,15 +165,6 @@ class Program:
             preds.add(r.head.signature)
             preds.update(l.atom.signature for l in r.body)
         return preds
-
-    def constants(self) -> set[str]:
-        names = set()
-        for pf in self.prob_facts:
-            names.update(t.name for t in pf.atom.args)
-        for r in self.rules:
-            for atom in (r.head, *(l.atom for l in r.body)):
-                names.update(t.name for t in atom.args if not t.is_variable)
-        return names
 
 
 @dataclass(frozen=True)
@@ -452,11 +422,3 @@ def render_program(program: Program) -> str:
     lines = [str(pf) for pf in sorted(program.prob_facts, key=lambda pf: str(pf.atom))]
     lines.extend(sorted(str(r) for r in program.rules))
     return "".join(line + "\n" for line in lines)
-
-
-def canonical_program(program: Program) -> Program:
-    """The same program with facts and rules in canonical (rendered) order."""
-    return Program(
-        tuple(sorted(program.prob_facts, key=lambda pf: str(pf.atom))),
-        tuple(sorted(program.rules, key=str)),
-    )

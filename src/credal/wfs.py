@@ -32,13 +32,6 @@ class ThreeValuedInterpretation:
     def undefined_in(self, base: frozenset[Atom]) -> frozenset[Atom]:
         return base - self.true_set - self.false_set
 
-    def leq(self, other: "ThreeValuedInterpretation") -> bool:
-        """Knowledge order: both truth sets grow."""
-        return self.true_set <= other.true_set and self.false_set <= other.false_set
-
-
-EMPTY_INTERPRETATION = ThreeValuedInterpretation(frozenset(), frozenset())
-
 
 # ---------------------------------------------------------------------------
 # indexed form shared with the stable-model module
@@ -120,11 +113,6 @@ def wfm(g: GroundProgram) -> ThreeValuedInterpretation:
     true_ids, possible = _wfm_ids(idx, ())
     false_ids = set(range(len(idx.atoms))) - possible
     return ThreeValuedInterpretation(idx.to_atoms(true_ids), idx.to_atoms(false_ids))
-
-
-def dynamically_stratified(g: GroundProgram, model: ThreeValuedInterpretation) -> bool:
-    """Whether the model is two-valued on the program's atoms."""
-    return not model.undefined_in(g.herbrand_base)
 
 
 def wf_reduct(g: GroundProgram, model: ThreeValuedInterpretation) -> GroundProgram:

@@ -1,4 +1,5 @@
-"""Seeded random program corpora and independent brute-force oracles.
+"""Seeded random program corpora, independent brute-force oracles, and the
+helpers on the library's types that only the tests use.
 
 The oracles deliberately avoid the library's own algorithms: grounding by
 full cross-product instantiation, stable models by filtering every subset
@@ -14,14 +15,94 @@ import itertools
 import random
 from fractions import Fraction
 
+from credal.bounds import InnerValue
 from credal.ground import (CallGraph, GroundProgram, build_call_graph,
                            build_dependency_graph, ground_program,
-                           reachable_atoms)
+                           reachable_atoms, with_facts_as_rules)
 from credal.residual import encode_probabilistic_facts
-from credal.syntax import (Atom, Literal, ProbFact, Program, Query, Rule,
+from credal.syntax import (Atom, Literal, ProbFact, Program, Query, Rule, Term,
                            const, var)
-from credal.wfs import EMPTY_INTERPRETATION, ThreeValuedInterpretation, wfm
+from credal.wfs import ThreeValuedInterpretation, wfm
 from credal.ground import detect_olon
+
+# ---------------------------------------------------------------------------
+# helpers on the library's types
+
+EMPTY_INTERPRETATION = ThreeValuedInterpretation(frozenset(), frozenset())
+
+
+def substitute(atom: Atom, binding: dict[str, Term]) -> Atom:
+    return Atom(atom.predicate, tuple(
+        binding.get(t.name, t) if t.is_variable else t for t in atom.args))
+
+
+def is_fact(rule: Rule) -> bool:
+    return not rule.body
+
+
+def positive_body(rule: Rule) -> tuple[Atom, ...]:
+    return tuple(l.atom for l in rule.body if not l.negated)
+
+
+def negative_body(rule: Rule) -> tuple[Atom, ...]:
+    return tuple(l.atom for l in rule.body if l.negated)
+
+
+def constants(program: Program) -> set[str]:
+    names = set()
+    for pf in program.prob_facts:
+        names.update(t.name for t in pf.atom.args)
+    for r in program.rules:
+        for atom in (r.head, *(l.atom for l in r.body)):
+            names.update(t.name for t in atom.args if not t.is_variable)
+    return names
+
+
+def canonical_program(program: Program) -> Program:
+    """The same program with facts and rules in canonical (rendered) order."""
+    return Program(
+        tuple(sorted(program.prob_facts, key=lambda pf: str(pf.atom))),
+        tuple(sorted(program.rules, key=str)),
+    )
+
+
+def leq(earlier: ThreeValuedInterpretation, later: ThreeValuedInterpretation) -> bool:
+    """Knowledge order: both truth sets grow."""
+    return earlier.true_set <= later.true_set and earlier.false_set <= later.false_set
+
+
+def dynamically_stratified(g: GroundProgram, model: ThreeValuedInterpretation) -> bool:
+    """Whether the model is two-valued on the program's atoms."""
+    return not model.undefined_in(g.herbrand_base)
+
+
+def project_answer_sets(answer_sets, atoms: frozenset[Atom]) -> frozenset:
+    """Deduplicated intersections of each answer set with ``atoms``."""
+    atoms = frozenset(atoms)
+    return frozenset(frozenset(a & atoms) for a in answer_sets)
+
+
+def inner_count(world_answer_sets, query: Query) -> InnerValue:
+    """Fold of the inner weights over each answer set.
+
+    Every literal weighs (1, 1) except the negated query, which weighs
+    (0, 1); an answer set therefore multiplies out to (1, 1) when it
+    contains the query and (0, 1) otherwise, and the sum over answer sets
+    is the pair of counts.  ``credal.bounds._WorldSolver.worlds`` takes the
+    same count on atom ids; this form on atom sets is its reference."""
+    n1 = n2 = 0
+    for answer_set in world_answer_sets:
+        n1 += query.atom in answer_set
+        n2 += 1
+    return InnerValue(n1, n2)
+
+
+def ground_rule_count(program: Program) -> int:
+    return len(ground_program(with_facts_as_rules(program)).rules)
+
+
+# ---------------------------------------------------------------------------
+# corpora
 
 CONSTANTS = [const("a"), const("b"), const("c"), const("d")]
 RULE_PREDS = [("p", 0), ("q", 1), ("r", 1), ("s", 2)]
@@ -145,7 +226,7 @@ def with_even_loops(rng: random.Random, program: Program) -> tuple[Program, list
     false = wfm(g).false_set
     base = [a for a in sorted(g.herbrand_base, key=str)
             if a not in false and not a.predicate.startswith("__")] or [Atom("p")]
-    consts = sorted(program.constants()) or ["a"]
+    consts = sorted(constants(program)) or ["a"]
     rules, seen = list(program.rules), []
     for i in range(rng.randint(1, 3)):
         c, d = Atom(f"c{i}"), Atom(f"d{i}")
@@ -185,15 +266,16 @@ def naive_ground(program: Program) -> GroundProgram:
     """Full cross-product instantiation over the program's constants."""
     if program.prob_facts:
         raise ValueError("encode probabilistic facts before grounding")
-    consts = sorted(program.constants()) or ["a"]
+    consts = sorted(constants(program)) or ["a"]
     rules = set()
     for rule in program.rules:
         names = sorted({t.name for atom in (rule.head, *(l.atom for l in rule.body))
                         for t in atom.args if t.is_variable})
         for values in itertools.product(consts, repeat=len(names)):
             binding = {n: const(v) for n, v in zip(names, values)}
-            rules.add(Rule(rule.head.substitute(binding),
-                           tuple(l.substitute(binding) for l in rule.body)))
+            rules.add(Rule(substitute(rule.head, binding),
+                           tuple(Literal(substitute(l.atom, binding), l.negated)
+                                 for l in rule.body)))
     return GroundProgram.from_rules(rules)
 
 
@@ -203,12 +285,12 @@ def derivable_ground(program: Program) -> GroundProgram:
     the least model of the negation-free naive grounding."""
     naive = naive_ground(program)
     derivable = least_model(GroundProgram.from_rules(
-        Rule(r.head, tuple(Literal(b) for b in r.positive_body())) for r in naive.rules))
+        Rule(r.head, tuple(Literal(b) for b in positive_body(r))) for r in naive.rules))
     verbatim = [r for r in program.rules
                 if r.head.is_ground() and all(l.atom.is_ground() for l in r.body)]
     return GroundProgram.from_rules(
         verbatim + [r for r in naive.rules
-                    if all(b in derivable for b in r.positive_body())])
+                    if all(b in derivable for b in positive_body(r))])
 
 
 def gl_reduct(g: GroundProgram, interpretation: frozenset[Atom]) -> GroundProgram:
@@ -216,8 +298,8 @@ def gl_reduct(g: GroundProgram, interpretation: frozenset[Atom]) -> GroundProgra
     removed; the result is a positive program."""
     kept = []
     for rule in g.rules:
-        pos = rule.positive_body()
-        neg = rule.negative_body()
+        pos = positive_body(rule)
+        neg = negative_body(rule)
         if all(b in interpretation for b in pos) and \
            not any(c in interpretation for c in neg):
             kept.append(Rule(rule.head, tuple(Literal(b) for b in pos)))
@@ -256,8 +338,8 @@ def lfp_ot(g: GroundProgram, interp: ThreeValuedInterpretation) -> frozenset[Ato
         for rule in g.rules:
             if rule.head in interp.true_set or rule.head in derived:
                 continue
-            if all(b in interp.true_set or b in derived for b in rule.positive_body()) and \
-               all(c in interp.false_set for c in rule.negative_body()):
+            if all(b in interp.true_set or b in derived for b in positive_body(rule)) and \
+               all(c in interp.false_set for c in negative_body(rule)):
                 derived.add(rule.head)
                 changed = True
     return frozenset(derived)
@@ -274,8 +356,8 @@ def gfp_of(g: GroundProgram, interp: ThreeValuedInterpretation) -> frozenset[Ato
             # a rule that can still fire makes its head not refutable
             if rule.head in candidate and \
                all(b not in interp.false_set and b not in candidate
-                   for b in rule.positive_body()) and \
-               all(c not in interp.true_set for c in rule.negative_body()):
+                   for b in positive_body(rule)) and \
+               all(c not in interp.true_set for c in negative_body(rule)):
                 candidate.discard(rule.head)
                 changed = True
     return frozenset(candidate - interp.false_set)

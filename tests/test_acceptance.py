@@ -10,20 +10,22 @@ from pathlib import Path
 
 import pytest
 
-from credal.bench import ground_rule_count, run_benchmark
+from credal.bench import run_benchmark
 from credal.bounds import (World, credal_bounds_2amc,
-                           credal_bounds_enumeration, inner_count,
-                           solve_query, world_probability)
+                           credal_bounds_enumeration, solve_query,
+                           world_probability)
 from credal.ground import build_call_graph, detect_olon, ground_program
 from credal.residual import (UNDEFINED, encode_probabilistic_facts,
                              extract_residual)
-from credal.stable import enumerate_answer_sets, project_answer_sets
-from credal.syntax import (Program, Rule, canonical_program, parse_program,
-                           parse_query, render_program)
-from credal.wfs import dynamically_stratified, wf_reduct, wfm
+from credal.stable import enumerate_answer_sets
+from credal.syntax import (Program, Rule, parse_program, parse_query,
+                           render_program)
+from credal.wfs import wf_reduct, wfm
 
 import programs
-from corpus import random_pasp, subsets_stable_models
+from corpus import (canonical_program, dynamically_stratified,
+                    ground_rule_count, inner_count, project_answer_sets,
+                    random_pasp, subsets_stable_models)
 
 EX4 = parse_program(programs.PROB_EDGES_RECURSIVE)
 Q_PATH = parse_query("path(a,d)")

@@ -11,15 +11,14 @@ from networkx.algorithms.approximation import treewidth_min_fill_in
 import credal
 from credal.bench import (CSV_HEADER, DecompositionStats, GENERATORS,
                           _ba_edges, gen_reach_ba, gen_reach_grid, gen_smokers_ba,
-                          gen_smokers_grid, ground_rule_count, instance_seed,
-                          primal_graph, primal_graph_stats, run_benchmark,
-                          with_facts_as_rules)
+                          gen_smokers_grid, instance_seed, primal_graph,
+                          primal_graph_stats, run_benchmark, with_facts_as_rules)
 from credal.ground import build_call_graph, detect_olon, ground_program
 from credal.residual import encode_probabilistic_facts
-from credal.syntax import (Program, canonical_program, parse_program,
-                           render_program)
+from credal.syntax import Program, parse_program, render_program
 
-from corpus import exact_treewidth, random_pasp
+from corpus import (canonical_program, exact_treewidth, ground_rule_count,
+                    random_pasp)
 
 
 def grounded(program):
@@ -254,6 +253,7 @@ def test_run_benchmark_rejects_unknown_dataset():
     ({"time_budget": -1.5}, "time_budget must be positive, got -1.5"),
     ({"max_prob_facts": -1}, "max_prob_facts must be at least 0, got -1"),
     ({"max_undefined": -1}, "max_undefined must be at least 0, got -1"),
+    ({"engine": "foo"}, "unknown engine 'foo'; known engines: enum, twoamc"),
 ])
 def test_run_benchmark_refuses_unusable_counts(kwargs, message):
     # raised by the call itself, before the row iterator is returned

@@ -6,15 +6,14 @@ import pytest
 from credal.bounds import (InnerValue, OuterValue, ProbabilityInterval,
                            ProbFactLimitError, SolveTimeout, World,
                            credal_bounds_2amc, credal_bounds_enumeration,
-                           f_transform, inner_count, solve_query,
-                           world_probability)
+                           f_transform, solve_query, world_probability)
 from credal.ground import OlonError, ground_program
 from credal.stable import enumerate_answer_sets, iter_answer_sets
 from credal.syntax import (Atom, Literal, ProbFact, Program, Query, Rule, const,
                            parse_program, parse_query, render_program)
 
 import programs
-from corpus import oracle_bounds
+from corpus import dynamically_stratified, inner_count, oracle_bounds
 
 
 EX4 = parse_program(programs.PROB_EDGES_RECURSIVE)
@@ -151,7 +150,7 @@ def test_world_probabilities_sum_to_one(corpus200):
 
 
 def test_point_interval_when_every_world_stratified(corpus200):
-    from credal.wfs import dynamically_stratified, wfm
+    from credal.wfs import wfm
 
     checked = 0
     for program, query in corpus200:
@@ -198,6 +197,14 @@ def test_solve_query_refuses_negative_cap_before_any_work(cap):
             solve_query(program, parse_query("p"), mode=mode, **{cap: -1})
     interval, _ = solve_query(decided, parse_query("a"), max_prob_facts=0, max_undefined=0)
     assert (interval.lower, interval.upper) == (1.0, 1.0)
+
+
+def test_solve_query_refuses_unknown_engine_before_any_work():
+    olon = parse_program(programs.OLON_LOOP + "0.5::x.\n")
+    for mode in ("direct", "residual"):
+        with pytest.raises(ValueError,
+                           match="^unknown engine 'foo'; known engines: enum, twoamc$"):
+            solve_query(olon, parse_query("p"), mode=mode, engine="foo")
 
 
 @pytest.mark.parametrize("cap", ["max_prob_facts", "max_undefined"])

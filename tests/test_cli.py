@@ -76,6 +76,8 @@ def test_bench_command(tmp_path, capsys):
     (["--sizes", "2"], "reachBA needs at least 3 nodes, got 2"),
     (["--datasets", "nope", "--sizes", "2"], "unknown dataset(s): nope"),
     (["--sizes", "-1"], "reachBA needs at least 3 nodes, got -1"),
+    (["--sizes", ","], "a sweep needs at least one dataset and one size"),
+    (["--datasets", ",", "--sizes", "2"], "a sweep needs at least one dataset and one size"),
 ])
 def test_bench_rejected_sweep_is_a_usage_error(capsys, args, message):
     code = dispatch(["bench", "--runs", "1", *args])

@@ -5,11 +5,12 @@ from credal.ground import GroundProgram, OlonError, ground_program
 from credal.residual import (CERTAIN_FALSE, CERTAIN_TRUE, UNDEFINED,
                              EncodingError, decode_probabilistic_facts,
                              encode_probabilistic_facts, extract_residual)
-from credal.stable import enumerate_answer_sets, project_answer_sets
+from credal.stable import enumerate_answer_sets
 from credal.syntax import (Atom, Literal, ProbFact, Program, Rule,
                            parse_program, parse_query, render_program)
 
 import programs
+from corpus import project_answer_sets
 
 
 def rule_key(rule):
@@ -27,14 +28,14 @@ def test_encode_single_fact():
     nq = Atom("__not_q")
     assert set(encoded.rules) == {Rule(Atom("q"), (Literal(nq, True),)),
                                   Rule(nq, (Literal(Atom("q"), True),))}
-    assert enc.entries == ((Atom("q"), nq, 0.3),)
+    assert enc == ((Atom("q"), nq, 0.3),)
 
 
 def test_encode_no_facts_is_identity():
     p = parse_program("a :- b.\nb.")
     encoded, enc = encode_probabilistic_facts(p)
     assert encoded.rules == p.rules
-    assert enc.entries == ()
+    assert enc == ()
 
 
 def test_encode_prob_edges_counts():

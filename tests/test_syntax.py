@@ -10,11 +10,12 @@ import pytest
 
 import credal
 from credal.syntax import (Atom, Literal, ParseError, ProbFact, Program,
-                           ProgramError, Query, Rule, canonical_program, const,
-                           parse_program, parse_query, render_program, var)
+                           ProgramError, Query, Rule, const, parse_program,
+                           parse_query, render_program, var)
 
 import programs
-from corpus import random_pasp
+from corpus import (canonical_program, is_fact, negative_body, positive_body,
+                    random_pasp)
 
 
 def test_parse_prob_edges():
@@ -132,10 +133,10 @@ def test_render_parse_is_idempotent_on_any_program():
 def test_rule_accessors():
     p = parse_program("a :- b, not c.\nb.")
     rule = next(r for r in p.rules if r.body)
-    assert rule.positive_body() == (Atom("b"),)
-    assert rule.negative_body() == (Atom("c"),)
-    assert not rule.is_fact
-    assert p.rules[0].is_fact or p.rules[1].is_fact
+    assert positive_body(rule) == (Atom("b"),)
+    assert negative_body(rule) == (Atom("c"),)
+    assert not is_fact(rule)
+    assert is_fact(p.rules[0]) or is_fact(p.rules[1])
 
 
 def test_prob_fact_validation():

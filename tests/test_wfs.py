@@ -2,11 +2,11 @@ from credal.ground import ground_program
 from credal.residual import encode_probabilistic_facts
 from credal.stable import enumerate_answer_sets
 from credal.syntax import Atom, parse_program, parse_query
-from credal.wfs import (EMPTY_INTERPRETATION, ThreeValuedInterpretation,
-                        dynamically_stratified, wf_reduct, wfm)
+from credal.wfs import ThreeValuedInterpretation, wf_reduct, wfm
 
 import programs
-from corpus import gfp_of, iterated_wfm, lfp_ot, naive_ground
+from corpus import (EMPTY_INTERPRETATION, dynamically_stratified, gfp_of,
+                    is_fact, iterated_wfm, leq, lfp_ot, naive_ground)
 
 import pytest
 
@@ -90,7 +90,7 @@ def test_wfm_monotone_iteration(corpus200):
     for g in grounds:
         stages = iterated_wfm(g)
         for earlier, later in zip(stages, stages[1:]):
-            assert earlier.leq(later)
+            assert leq(earlier, later)
         assert stages[-1] == wfm(g)
 
 
@@ -98,7 +98,7 @@ def test_wf_reduct_stratified_becomes_facts():
     g = ground_program(parse_program("r.\np :- not r.\nq :- r."))
     model = wfm(g)
     reduct = wf_reduct(g, model)
-    assert all(r.is_fact for r in reduct.rules)
+    assert all(is_fact(r) for r in reduct.rules)
     assert {r.head for r in reduct.rules} == set(model.true_set)
 
 
@@ -120,7 +120,7 @@ def test_wf_reduct_certain_edges():
                    for r in kept)
     # ... true facts stay as facts, (a,c) pair rules stay too
     for name in ("e(a,b)", "e(a,c)", "e(b,d)"):
-        assert any(r.head == parse_query(name).atom and r.is_fact for r in kept)
+        assert any(r.head == parse_query(name).atom and is_fact(r) for r in kept)
     assert any(r.head == parse_query("edge(a,c)").atom for r in kept)
     assert len(reduct.rules) == 13
 
