@@ -1,20 +1,17 @@
 """Credal probability bounds for a ground query.
 
-Both engines fold the same per-world leaf: ``_WorldSolver.worlds`` walks
-every world (one per subset of the probabilistic facts, scanned in
-increasing bit-vector order with the first fact as the most significant
-bit, so sums are reproducible) and counts the world's answer sets as the
-pair (sets containing the query, all sets).  Their cross-check therefore
-covers only the two folds:
-
-* ``credal_bounds_enumeration`` adds the world's probability to the lower
-  bound when the query holds in every answer set and to the upper bound
-  when it holds in some.
-
-* ``credal_bounds_2amc`` phrases the same computation as a two-level
-  algebraic count: the inner pair is collapsed to 0/1 indicators by
-  ``f_transform``, and an outer pass multiplies in the fact-selection
-  weights and sums over worlds.
+Both engines run one fold, ``_WorldSolver.fold``.  It walks every world
+(one per subset of the probabilistic facts, in increasing bit-vector order
+with the first fact as the most significant bit, so sums are reproducible)
+and asks the engine's leaf whether some answer set contains the query and
+whether some omits it.  The world's probability goes to the upper bound in
+the first case and to the lower bound unless the second holds; a world with
+no answer set makes the credal semantics undefined.  The leaves differ in
+algorithm: ``enum`` (``credal_bounds_enumeration``, the counting reference
+and the engine the benchmark measures) lists every answer set through
+``iter_answer_sets``; ``twoamc`` (``credal_bounds_2amc``) reads the two bits
+as the inner level of a two-level algebraic model count (Kiesel, Totis &
+Kimmig, KR 2022) off one witness search each, ``stable.query_witnesses``.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from dataclasses import dataclass
 from . import stable
 from .ground import (GroundProgram, OlonError, build_call_graph, detect_olon,
                      ground_program, with_facts_as_rules)
-from .residual import extract_residual, CERTAIN_TRUE, CERTAIN_FALSE
+from .residual import CERTAIN_TRUE, UNDEFINED, extract_residual
 from .stable import SolveTimeout, check_caps, iter_answer_sets
 from .syntax import Program, Query
 
@@ -84,27 +81,6 @@ def _interval(lower: float, upper: float) -> ProbabilityInterval:
     return ProbabilityInterval(lower, max(lower, upper))
 
 
-@dataclass(frozen=True)
-class InnerValue:
-    """Inner semiring value over pairs of naturals: (answer sets containing
-    the query, answer sets in total)."""
-
-    n1: int
-    n2: int
-
-    def __post_init__(self):
-        if not 0 <= self.n1 <= self.n2:
-            raise ValueError(f"bad inner count ({self.n1}, {self.n2})")
-
-
-@dataclass(frozen=True)
-class OuterValue:
-    """Outer semiring value: a (lower, upper) probability pair."""
-
-    lp: float
-    up: float
-
-
 def world_probability(program: Program, world: World) -> float:
     """Product of selected fact probabilities and deselected complements."""
     p = 1.0
@@ -113,17 +89,10 @@ def world_probability(program: Program, world: World) -> float:
     return p
 
 
-def f_transform(value: InnerValue) -> OuterValue:
-    """Collapse counts to indicator bounds: lower 1 iff the query holds in
-    every answer set, upper 1 iff it holds in some."""
-    return OuterValue(1.0 if value.n1 == value.n2 else 0.0,
-                      1.0 if value.n1 > 0 else 0.0)
-
-
 class _WorldSolver:
-    """Shared world iteration: one base grounding, indexed once, then per
-    world the selected fact atoms seed the answer-set search, whose answer
-    sets are counted against the query's atom id."""
+    """The world fold both engines share: one base grounding, indexed once,
+    then per world the selected fact atoms and the query's atom id go to the
+    engine's leaf."""
 
     def __init__(self, program: Program, query: Query,
                  max_prob_facts: int, max_undefined: int,
@@ -134,11 +103,8 @@ class _WorldSolver:
         witness = detect_olon(build_call_graph(program))
         if witness is not None:
             raise OlonError(witness)
-        self.program = program
-        self.query = query
-        self.max_undefined = max_undefined
-        self.deadline = deadline
-        self.clock = clock
+        self.program, self.query = program, query
+        self.max_undefined, self.deadline, self.clock = max_undefined, deadline, clock
         # validation leaves the fact rules `a.` the only ones headed by a fact
         base = ground_program(with_facts_as_rules(program))
         facts = {pf.atom for pf in program.prob_facts}
@@ -148,25 +114,40 @@ class _WorldSolver:
         self.fact_ids = [self.index.ids[pf.atom] for pf in program.prob_facts]
         self.n = len(program.prob_facts)
 
-    def worlds(self):
-        """Yield ``(world, InnerValue(n1, n2))`` per world: of its ``n2``
-        answer sets, ``n1`` contain the query atom."""
+    def fold(self, leaf) -> ProbabilityInterval:
+        """The bounds from ``leaf(index, facts, query_id, max_undefined,
+        deadline, clock)``: per world, (some answer set contains the query,
+        some omits it); ``query_id`` is None outside the grounding."""
         query_id = self.index.ids.get(self.query.atom)
+        lower = upper = 0.0
         for index in range(1 << self.n):
             if self.deadline is not None and self.clock() > self.deadline:
                 raise SolveTimeout(f"time budget exceeded at world {index} of {1 << self.n}")
             world = World.from_index(index, self.n)
             facts = [i for i, sel in zip(self.fact_ids, world.selection) if sel]
-            n1 = n2 = 0
-            for answer_set in iter_answer_sets(self.index, facts, self.max_undefined,
-                                               self.deadline, self.clock):
-                n1 += query_id in answer_set
-                n2 += 1
-            if not n2:
+            contains, omits = leaf(self.index, facts, query_id, self.max_undefined,
+                                   self.deadline, self.clock)
+            if not (contains or omits):
                 raise CredalUndefinedError(
                     world, [pf.atom for pf, sel
                             in zip(self.program.prob_facts, world.selection) if sel])
-            yield world, InnerValue(n1, n2)
+            p = world_probability(self.program, world)
+            if not omits:
+                lower += p
+            if contains:
+                upper += p
+        return _interval(lower, upper)
+
+
+def _count_leaf(index, facts, query_id, max_undefined, deadline, clock):
+    """The two bits read off every answer set of the world."""
+    contains = omits = False
+    for answer_set in iter_answer_sets(index, facts, max_undefined, deadline, clock):
+        if query_id in answer_set:
+            contains = True
+        else:
+            omits = True
+    return contains, omits
 
 
 def credal_bounds_enumeration(program: Program, query: Query, *,
@@ -174,17 +155,9 @@ def credal_bounds_enumeration(program: Program, query: Query, *,
                               max_undefined: int = DEFAULT_MAX_UNDEFINED,
                               deadline: float | None = None,
                               clock=time.perf_counter) -> ProbabilityInterval:
-    """Lower/upper query probability by direct world enumeration."""
-    solver = _WorldSolver(program, query, max_prob_facts, max_undefined,
-                          deadline, clock)
-    lower = upper = 0.0
-    for world, value in solver.worlds():
-        p = world_probability(program, world)
-        if value.n1 == value.n2:
-            lower += p
-        if value.n1 > 0:
-            upper += p
-    return _interval(lower, upper)
+    """Lower/upper query probability, counting every world's answer sets."""
+    return _WorldSolver(program, query, max_prob_facts, max_undefined,
+                        deadline, clock).fold(_count_leaf)
 
 
 def credal_bounds_2amc(program: Program, query: Query, *,
@@ -192,23 +165,13 @@ def credal_bounds_2amc(program: Program, query: Query, *,
                        max_undefined: int = DEFAULT_MAX_UNDEFINED,
                        deadline: float | None = None,
                        clock=time.perf_counter) -> ProbabilityInterval:
-    """The same bounds as a two-level algebraic count over the fact
-    variables (outer) and the remaining atoms (inner)."""
-    solver = _WorldSolver(program, query, max_prob_facts, max_undefined,
-                          deadline, clock)
-    acc_lp = acc_up = 0.0
-    for world, value in solver.worlds():
-        weight = world_probability(program, world)
-        fv = f_transform(value)
-        acc_lp += weight * fv.lp
-        acc_up += weight * fv.up
-    return _interval(acc_lp, acc_up)
+    """The same bounds, searching each world for one answer set with the
+    query and one without it."""
+    return _WorldSolver(program, query, max_prob_facts, max_undefined,
+                        deadline, clock).fold(stable.query_witnesses)
 
 
-ENGINES = {
-    "enum": credal_bounds_enumeration,
-    "twoamc": credal_bounds_2amc,
-}
+ENGINES = {"enum": credal_bounds_enumeration, "twoamc": credal_bounds_2amc}
 
 
 def select_engine(name: str):
@@ -237,10 +200,9 @@ def solve_query(program: Program, query: Query, *, mode: str = "residual",
     if mode != "residual":
         raise ValueError(f"unknown mode {mode!r}")
     residual = extract_residual(program, query)
-    if residual.query_status == CERTAIN_TRUE:
-        return _interval(1.0, 1.0), residual
-    if residual.query_status == CERTAIN_FALSE:
-        return _interval(0.0, 0.0), residual
+    if residual.query_status != UNDEFINED:
+        certain = 1.0 if residual.query_status == CERTAIN_TRUE else 0.0
+        return _interval(certain, certain), residual
     interval = solve(residual.program, query, max_prob_facts=max_prob_facts,
                      max_undefined=max_undefined, deadline=deadline, clock=clock)
     return interval, residual

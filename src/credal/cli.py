@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from . import bench as bench_mod
-from .bounds import (DEFAULT_MAX_PROB_FACTS, DEFAULT_MAX_UNDEFINED,
+from .bounds import (DEFAULT_MAX_PROB_FACTS, DEFAULT_MAX_UNDEFINED, ENGINES,
                      CredalUndefinedError, ProbFactLimitError, SolveTimeout,
                      solve_query)
 from .ground import (OlonError, build_call_graph, build_dependency_graph, dot_call_graph,
@@ -54,6 +54,9 @@ _CAP = _bounded(int, lambda n: n >= 0, "at least 0")
 _RUNS = _bounded(int, lambda n: n >= 1, "at least 1")
 _SECONDS = _bounded(float, lambda t: t > 0, "positive")
 
+_ENGINE_HELP = {"enum": "counts every answer set (the reference)",
+                "twoamc": "looks for one witness per question"}
+
 
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="credal",
@@ -68,10 +71,14 @@ def _build_parser() -> _ArgumentParser:
         p.add_argument("--emit-graphs", action="store_true",
                        help="write call/dependency graphs as DOT files")
 
+    def add_engine(p):
+        p.add_argument("--engine", choices=tuple(ENGINES), default="enum",
+                       help="; ".join(f"{name} {_ENGINE_HELP[name]}" for name in ENGINES))
+
     solve = sub.add_parser("solve", help="print credal bounds for a query")
     add_common(solve, True)
     solve.add_argument("--mode", choices=("direct", "residual"), default="residual")
-    solve.add_argument("--engine", choices=("enum", "twoamc"), default="enum")
+    add_engine(solve)
     solve.add_argument("--max-prob-facts", type=_CAP, default=DEFAULT_MAX_PROB_FACTS)
     solve.add_argument("--max-undefined", type=_CAP, default=DEFAULT_MAX_UNDEFINED)
 
@@ -88,7 +95,7 @@ def _build_parser() -> _ArgumentParser:
     bench.add_argument("--sizes", required=True, help="comma-separated sizes")
     bench.add_argument("--runs", type=_RUNS, default=10)
     bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--engine", choices=("enum", "twoamc"), default="enum")
+    add_engine(bench)
     bench.add_argument("--timeout", type=_SECONDS, default=None,
                        help="per-row solve budget in seconds")
     bench.add_argument("--max-prob-facts", type=_CAP, default=DEFAULT_MAX_PROB_FACTS)

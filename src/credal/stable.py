@@ -17,6 +17,15 @@ search grows with the answer sets and pruned branches, not with the 2^k
 subsets of k undefined atoms: the even ring ``a_i :- not a_{i+1 mod 18}``
 takes 27 nodes.  Answer sets are frozensets of the atom ids of an
 ``IndexedProgram``; only ``enumerate_answer_sets`` maps them to atoms.
+
+Two leaves run the search on one world.  ``iter_answer_sets`` lists every
+answer set; ``query_witnesses`` asks whether some answer set contains the
+query and whether some omits it (brave and cautious reasoning; Gebser et
+al., *Answer Set Solving in Practice*, 2012) by searching to a first answer
+set with the query assumed true, then false, or once if the WFM decides it.
+The pruning argument holds at any node, the root included, so assumptions
+prune only models that disagree with them and the search below them is
+complete; the stability check keeps every witness an answer set.
 The search is a module-level recursive generator that is passed its
 context, so it builds no reference cycle and each world's sets are freed
 by reference counting (guarded by ``tests/test_memory.py``).
@@ -65,12 +74,9 @@ def _evaluate_decided(rules, val):
     return out
 
 
-def iter_answer_sets(index: IndexedProgram, facts, max_undefined: int,
-                     deadline: float | None, clock):
-    """Yield every stable model of the indexed program plus the atom ids
-    ``facts``, as a frozenset of atom ids, in a deterministic order.  The
-    search checks ``clock()`` against ``deadline`` (None for no budget) and
-    raises ``SolveTimeout``."""
+def _world(index: IndexedProgram, facts, max_undefined: int):
+    """The search's input for one world: its rules on the WFM-undefined
+    atoms, their watch list, those atoms and the WFM's true atom ids."""
     true_ids, possible = _wfm_ids(index, facts)
     undef = sorted(possible - true_ids)
     if len(undef) > max_undefined:
@@ -82,11 +88,35 @@ def iter_answer_sets(index: IndexedProgram, facts, max_undefined: int,
     for i in undef:
         val[i] = None
     rules = _evaluate_decided([r for r in index.rules if val[r[0]] is None], val)
-    watch = watch_list(rules, undef)
-    base = frozenset(true_ids)
+    return rules, watch_list(rules, undef), undef, frozenset(true_ids)
 
-    yield from _search(rules, watch, undef, base, deadline, clock,
+
+def iter_answer_sets(index: IndexedProgram, facts, max_undefined: int,
+                     deadline: float | None, clock):
+    """Yield every stable model of the indexed program plus the atom ids
+    ``facts``, as a frozenset of atom ids, in a deterministic order.  The
+    search checks ``clock()`` against ``deadline`` (None for no budget) and
+    raises ``SolveTimeout``."""
+    yield from _search(*_world(index, facts, max_undefined), deadline, clock,
                        frozenset(), frozenset(), frozenset())
+
+
+def query_witnesses(index: IndexedProgram, facts, query_id, max_undefined: int,
+                    deadline: float | None, clock) -> tuple[bool, bool]:
+    """(some answer set contains the atom ``query_id``, some omits it) for
+    the indexed program plus the atom ids ``facts``; ``query_id`` None is an
+    atom outside the grounding.  Each search stops at its first answer set."""
+    rules, watch, undef, base = _world(index, facts, max_undefined)
+
+    def witness(yes, no):
+        return next(_search(rules, watch, undef, base, deadline, clock,
+                            yes, no, frozenset()), None) is not None
+
+    if query_id in undef:
+        query = frozenset((query_id,))
+        return witness(query, frozenset()), witness(frozenset(), query)
+    exists = witness(frozenset(), frozenset())
+    return exists and query_id in base, exists and query_id not in base
 
 
 def _search(rules, watch, undef, base, deadline, clock, yes, no, true):

@@ -15,7 +15,6 @@ import itertools
 import random
 from fractions import Fraction
 
-from credal.bounds import InnerValue
 from credal.ground import (CallGraph, GroundProgram, build_call_graph,
                            build_dependency_graph, ground_program,
                            reachable_atoms, with_facts_as_rules)
@@ -82,19 +81,25 @@ def project_answer_sets(answer_sets, atoms: frozenset[Atom]) -> frozenset:
     return frozenset(frozenset(a & atoms) for a in answer_sets)
 
 
-def inner_count(world_answer_sets, query: Query) -> InnerValue:
-    """Fold of the inner weights over each answer set.
+def inner_count(world_answer_sets, query: Query) -> tuple[int, int]:
+    """(answer sets containing the query, answer sets in total).
 
     Every literal weighs (1, 1) except the negated query, which weighs
     (0, 1); an answer set therefore multiplies out to (1, 1) when it
     contains the query and (0, 1) otherwise, and the sum over answer sets
-    is the pair of counts.  ``credal.bounds._WorldSolver.worlds`` takes the
-    same count on atom ids; this form on atom sets is its reference."""
+    is the pair of counts."""
     n1 = n2 = 0
     for answer_set in world_answer_sets:
         n1 += query.atom in answer_set
         n2 += 1
-    return InnerValue(n1, n2)
+    return n1, n2
+
+
+def witness_pair(answer_sets, atom) -> tuple[bool, bool]:
+    """(some answer set contains ``atom``, some answer set omits it): what
+    either engine's leaf returns for one world."""
+    return (any(atom in s for s in answer_sets),
+            any(atom not in s for s in answer_sets))
 
 
 def ground_rule_count(program: Program) -> int:

@@ -268,3 +268,27 @@ def test_ground_rule_count_monotone_under_residual():
     residual = extract_residual(inst.program, inst.query)
     assert ground_rule_count(residual.program) <= ground_rule_count(inst.program)
     assert len(residual.program.prob_facts) <= len(inst.program.prob_facts)
+
+
+def test_twoamc_rows_equal_enum_rows_but_for_timings():
+    # the engines share the world fold and differ in the per-world leaf, so
+    # only the *_ms columns may differ; the stub clock counts the witness
+    # search's fewer clock reads as less solve time (a far budget makes the
+    # engines read the clock).  A cap of 12 facts keeps smokersGrid 3 direct
+    # (21 facts) from enumerating 2^21 worlds.
+    header = CSV_HEADER.split(",")
+    kept = [header.index(c) for c in
+            ("dataset", "size", "run", "mode", "lower", "upper",
+             "bags", "width_ub", "vertices", "status")]
+    solve_ms = header.index("solve_ms")
+    rows = {}
+    for engine in ("enum", "twoamc"):
+        rows[engine] = [row.split(",") for row in
+                        run_benchmark(["reachGrid", "smokersGrid"], [2, 3], runs=3,
+                                      engine=engine, time_budget=1e6,
+                                      max_prob_facts=12, clock=StubClock())]
+    assert [[r[i] for i in kept] for r in rows["twoamc"]] == \
+        [[r[i] for i in kept] for r in rows["enum"]]
+    assert all(r[4] == "twoamc" for r in rows["twoamc"])
+    assert sum(float(r[solve_ms]) for r in rows["twoamc"]) < \
+        sum(float(r[solve_ms]) for r in rows["enum"])

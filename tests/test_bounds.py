@@ -3,17 +3,16 @@ import random
 
 import pytest
 
-from credal.bounds import (InnerValue, OuterValue, ProbabilityInterval,
-                           ProbFactLimitError, SolveTimeout, World,
-                           credal_bounds_2amc, credal_bounds_enumeration,
-                           f_transform, solve_query, world_probability)
+from credal.bounds import (ProbabilityInterval, ProbFactLimitError, SolveTimeout,
+                           World, _count_leaf, credal_bounds_2amc,
+                           credal_bounds_enumeration, solve_query, world_probability)
 from credal.ground import OlonError, ground_program
-from credal.stable import enumerate_answer_sets, iter_answer_sets
+from credal.stable import enumerate_answer_sets, iter_answer_sets, query_witnesses
 from credal.syntax import (Atom, Literal, ProbFact, Program, Query, Rule, const,
                            parse_program, parse_query, render_program)
 
 import programs
-from corpus import dynamically_stratified, inner_count, oracle_bounds
+from corpus import dynamically_stratified, inner_count, oracle_bounds, witness_pair
 
 
 EX4 = parse_program(programs.PROB_EDGES_RECURSIVE)
@@ -45,23 +44,11 @@ def test_world_counts_table():
         chosen = tuple(Rule(a) for a, sel in zip(facts, world.selection) if sel)
         g = ground_program(Program((), EX4.rules + chosen))
         answer_sets = enumerate_answer_sets(g)
-        value = inner_count(answer_sets, Q_PATH)
-        assert (value.n1, value.n2) == (expected_q, expected_total)
+        assert inner_count(answer_sets, Q_PATH) == (expected_q, expected_total)
 
 
 def test_inner_count_neutral_element():
-    assert inner_count((), Q_PATH) == InnerValue(0, 0)
-
-
-def test_inner_value_invariant():
-    with pytest.raises(ValueError):
-        InnerValue(3, 2)
-
-
-def test_f_transform():
-    assert f_transform(InnerValue(4, 4)) == OuterValue(1.0, 1.0)
-    assert f_transform(InnerValue(0, 4)) == OuterValue(0.0, 0.0)
-    assert f_transform(InnerValue(1, 4)) == OuterValue(0.0, 1.0)
+    assert inner_count((), Q_PATH) == (0, 0)
 
 
 def test_bounds_prob_edges_all_engines_and_modes():
@@ -120,7 +107,9 @@ def test_world_solver_matches_fresh_grounding(corpus200, even_loop_corpus):
         solver = _WorldSolver(program, query, max_prob_facts=25,
                               max_undefined=24, deadline=None, clock=None)
         facts = [pf.atom for pf in program.prob_facts]
-        for world, value in solver.worlds():
+        query_id = solver.index.ids.get(query.atom)
+        for index in range(1 << solver.n):
+            world = World.from_index(index, solver.n)
             chosen = tuple(Rule(a) for a, sel in zip(facts, world.selection) if sel)
             fresh = enumerate_answer_sets(
                 ground_program(Program((), program.rules + chosen)))
@@ -129,7 +118,9 @@ def test_world_solver_matches_fresh_grounding(corpus200, even_loop_corpus):
                 solver.index.to_atoms(ids)
                 for ids in iter_answer_sets(solver.index, fact_ids, 24, None, None))
             assert answer_sets == fresh
-            assert value == inner_count(fresh, query)
+            for leaf in (_count_leaf, query_witnesses):
+                assert leaf(solver.index, fact_ids, query_id, 24, None, None) == \
+                    witness_pair(fresh, query.atom), (leaf.__name__, world)
 
 
 def test_engines_agree_on_corpus(corpus200, even_loop_corpus):
@@ -248,6 +239,52 @@ def test_timeout_inside_one_component():
     with pytest.raises(SolveTimeout):
         solve_query(p, parse_query("q"), mode="direct", deadline=2.0, clock=clock)
     assert reads < 10
+
+
+def ten_even_loops():
+    loops = "\n".join(f"a{i} :- not b{i}.\nb{i} :- not a{i}." for i in range(10))
+    return parse_program("0.5::f.\n" + loops + "\nq :- a0, f.")
+
+
+@pytest.mark.parametrize("engine", ["enum", "twoamc"])
+def test_engines_differ_in_clock_reads(engine):
+    # each world has 2^10 answer sets: enum reads the clock once per search
+    # node over all of them, twoamc once per node of at most two searches
+    # that each stop at their first answer set
+    reads = 0
+
+    def clock():
+        nonlocal reads
+        reads += 1
+        return 0.0
+
+    interval, _ = solve_query(ten_even_loops(), parse_query("q"), mode="direct",
+                              engine=engine, deadline=1e9, clock=clock)
+    assert (interval.lower, interval.upper) == (0.0, 0.5)
+    if engine == "twoamc":
+        assert reads <= 60
+    else:
+        assert reads >= 2048
+
+
+def test_timeout_inside_the_witness_search():
+    # the stub clock crosses the deadline in the second world, where the WFM
+    # leaves q undefined, while twoamc searches for a witness; the search
+    # raises at the first read past the deadline, the 21st
+    p = ten_even_loops()
+    reads = 0
+
+    def clock():
+        nonlocal reads
+        reads += 1
+        return float(reads)
+
+    with pytest.raises(SolveTimeout) as exc:
+        credal_bounds_2amc(p, parse_query("q"), deadline=20.0, clock=clock)
+    assert "answer-set search" in str(exc.value)
+    frames = [entry.name for entry in exc.traceback]
+    assert frames[-1] == "_search" and "query_witnesses" in frames
+    assert reads == 21
 
 
 def test_interval_validation():

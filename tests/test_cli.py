@@ -35,6 +35,17 @@ def test_solve_all_modes_and_engines(prob_edges, capsys, mode, engine):
     assert capsys.readouterr().out == "P(path(a,d)) = [0.000000, 0.030000]\n"
 
 
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_engine_choices_and_help_lines(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        dispatch([command, "--help"])
+    assert exc.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"--engine {{{','.join(credal.bounds.ENGINES)}}}" in out
+    assert "enum counts every answer set (the reference)" in out
+    assert "twoamc looks for one witness per question" in out
+
+
 def test_residual_command(tmp_path, capsys):
     path = tmp_path / "certain.pasp"
     path.write_text(programs.EDGES_RECURSIVE)

@@ -5,14 +5,14 @@ import pytest
 from credal.ground import GroundProgram, ground_program
 from credal.residual import encode_probabilistic_facts
 from credal.stable import (UndefinedAtomLimitError, enumerate_answer_sets,
-                           iter_answer_sets)
+                           iter_answer_sets, query_witnesses)
 from credal.syntax import Atom, Program, Rule, parse_program, parse_query
 from credal.wfs import IndexedProgram, wfm
 
 import programs
 from corpus import (dynamically_stratified, gl_reduct, is_stable, least_model,
                     project_answer_sets, random_pasp, subsets_stable_models,
-                    wfm_restricted_stable_models)
+                    wfm_restricted_stable_models, witness_pair)
 
 
 def world_ground(text, selected):
@@ -206,9 +206,27 @@ def test_search_equals_subset_filter_on_negation_heavy_programs():
                        iter_answer_sets(index, (), 10, None, None)]
         assert len(set(answer_sets)) == len(answer_sets), g.rules
         assert set(answer_sets) == subsets_stable_models(g), g.rules
+        for atom in g.herbrand_base:
+            assert query_witnesses(index, (), index.ids[atom], 10, None, None) == \
+                witness_pair(answer_sets, atom), (atom, g.rules)
         several += len(answer_sets) > 1
         none += not answer_sets
     assert several >= 50 and none >= 50
+
+
+@pytest.mark.parametrize("text, query, expected", [
+    ("t.\na :- not b.\nb :- not a.", "t", (True, False)),  # the WFM makes t true
+    ("t.\nf :- not t.\na :- not b.\nb :- not a.", "f", (False, True)),  # and f false
+    ("a :- not b.\nb :- not a.", "zzz", (False, True)),  # outside the grounding
+    ("a :- not b.\nb :- not a.", "a", (True, True)),
+    ("t.\np :- not p.", "t", (False, False)),  # true in the WFM, no answer set
+])
+def test_query_witnesses_on_decided_and_absent_queries(text, query, expected):
+    g = ground_program(parse_program(text))
+    index = IndexedProgram(g)
+    atom = parse_query(query).atom
+    pair = query_witnesses(index, (), index.ids.get(atom), 10, None, None)
+    assert pair == expected == witness_pair(subsets_stable_models(g), atom)
 
 
 def test_enumeration_equals_subset_filter_small(corpus200):
