@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .bounds import (DEFAULT_MAX_PROB_FACTS, DEFAULT_MAX_UNDEFINED,
                      CredalUndefinedError, ProbFactLimitError, SolveTimeout,
                      _interval, select_engine)
-from .ground import GroundProgram, OlonError, ground_program, with_facts_as_rules
+from .ground import GroundProgram, OlonError, ground_program
 from .residual import CERTAIN_TRUE, extract_residual
 from .stable import UndefinedAtomLimitError, check_caps
 from .syntax import (Atom, Program, ProbFact, Query, const, parse_program,
@@ -280,7 +280,7 @@ def _bench_row(instance, mode, engine, solve, time_budget,
         residual_ms = (clock() - t0) * 1000.0
 
     t0 = clock()
-    grounded = ground_program(with_facts_as_rules(target))
+    grounded = ground_program(target)
     ground_ms = (clock() - t0) * 1000.0
     stats = primal_graph_stats(grounded)
 

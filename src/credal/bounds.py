@@ -20,8 +20,7 @@ import time
 from dataclasses import dataclass
 
 from . import stable
-from .ground import (GroundProgram, OlonError, build_call_graph, detect_olon,
-                     ground_program, with_facts_as_rules)
+from .ground import OlonError, build_call_graph, detect_olon, ground_program
 from .residual import CERTAIN_TRUE, UNDEFINED, extract_residual
 from .stable import SolveTimeout, check_caps, iter_answer_sets
 from .syntax import Program, Query
@@ -90,9 +89,9 @@ def world_probability(program: Program, world: World) -> float:
 
 
 class _WorldSolver:
-    """The world fold both engines share: one base grounding, indexed once,
-    then per world the selected fact atoms and the query's atom id go to the
-    engine's leaf."""
+    """The world fold both engines share: one grounding, with the facts as
+    open atoms, indexed once; per world the selected fact atoms and the
+    query's atom id go to the engine's leaf."""
 
     def __init__(self, program: Program, query: Query,
                  max_prob_facts: int, max_undefined: int,
@@ -105,12 +104,7 @@ class _WorldSolver:
             raise OlonError(witness)
         self.program, self.query = program, query
         self.max_undefined, self.deadline, self.clock = max_undefined, deadline, clock
-        # validation leaves the fact rules `a.` the only ones headed by a fact
-        base = ground_program(with_facts_as_rules(program))
-        facts = {pf.atom for pf in program.prob_facts}
-        core = GroundProgram(tuple(r for r in base.rules if r.head not in facts),
-                             base.herbrand_base)
-        self.index = stable.IndexedProgram(core)
+        self.index = stable.IndexedProgram(ground_program(program))
         self.fact_ids = [self.index.ids[pf.atom] for pf in program.prob_facts]
         self.n = len(program.prob_facts)
 

@@ -19,7 +19,7 @@ from .bounds import (DEFAULT_MAX_PROB_FACTS, DEFAULT_MAX_UNDEFINED, ENGINES,
                      CredalUndefinedError, ProbFactLimitError, SolveTimeout,
                      solve_query)
 from .ground import (OlonError, build_call_graph, build_dependency_graph, dot_call_graph,
-                     dot_dependency_graph, ground_program, with_facts_as_rules)
+                     dot_dependency_graph, ground_program)
 from .residual import extract_residual
 from .stable import UndefinedAtomLimitError
 from .syntax import (ParseError, ProgramError, parse_program, parse_query,
@@ -96,8 +96,8 @@ def _build_parser() -> _ArgumentParser:
     bench.add_argument("--runs", type=_RUNS, default=10)
     bench.add_argument("--seed", type=int, default=0)
     add_engine(bench)
-    bench.add_argument("--timeout", type=_SECONDS, default=None,
-                       help="per-row solve budget in seconds")
+    bench.add_argument("--timeout", type=_SECONDS, default=60.0,
+                       help="per-row solve budget in seconds (default %(default)g)")
     bench.add_argument("--max-prob-facts", type=_CAP, default=DEFAULT_MAX_PROB_FACTS)
     bench.add_argument("--max-undefined", type=_CAP, default=DEFAULT_MAX_UNDEFINED)
     bench.add_argument("--out", help="write CSV here instead of stdout")
@@ -113,7 +113,7 @@ def _emit_graphs(program, input_path: str) -> None:
     stem = Path(input_path).stem
     call_path = Path(f"{stem}.call.dot")
     call_path.write_text(dot_call_graph(build_call_graph(program)), encoding="utf-8")
-    grounded = ground_program(with_facts_as_rules(program))
+    grounded = ground_program(program)
     dep_path = Path(f"{stem}.dep.dot")
     dep_path.write_text(dot_dependency_graph(build_dependency_graph(grounded)),
                         encoding="utf-8")
@@ -156,7 +156,7 @@ def _cmd_residual(args) -> int:
 
 def _cmd_stats(args) -> int:
     program = _read_program(args.input)
-    grounded = ground_program(with_facts_as_rules(program))
+    grounded = ground_program(program)
     stats = bench_mod.primal_graph_stats(grounded)
     print(f"bags={stats.bag_count} width_ub={stats.width_upper_bound} "
           f"vertices={stats.vertex_count}")

@@ -1,16 +1,20 @@
 """Grounding and the graphs read off a program.
 
 The grounder is semi-naive bottom-up evaluation with negation ignored, in
-one pass.  Round 0 fires the rules with an empty positive body; every later
-round joins, for each rule and each positive body position whose
-predicate gained atoms, that position against the previous round's new
-atoms and every other position against all atoms derived so far.  Joins
-probe hash tables keyed on the argument positions already bound.  Each
-match emits its ground rule at once, and a head not derived before joins
-the next round's new atoms.  Rules that are already ground are kept
-verbatim.  Instances whose positive body can never be derived are omitted;
-they cannot fire under any of the semantics computed downstream, so the
-result is interchangeable with the full naive grounding.
+one pass.  Round 0 fires the rules with an empty positive body and opens
+the probabilistic fact atoms: each is derivable, since some world selects
+it, but no ground rule heads it, because ``validate_program`` refuses a rule
+head that unifies with a fact atom.  A world's choice of facts is then
+exactly a choice of which open atoms to assume.  Every later round joins,
+for each rule and each positive body position whose predicate gained
+atoms, that position against the previous round's new atoms and every
+other position against all atoms derived so far.  Joins probe hash tables
+keyed on the argument positions already bound.  Each match emits its
+ground rule at once, and a head not derived before joins the next round's
+new atoms.  Rules that are already ground are kept verbatim.  Instances
+whose positive body can never be derived are omitted; they cannot fire
+under any of the semantics computed downstream, so the result is
+interchangeable with the full naive grounding.
 
 Grounding builds no reference cycle (the recursive join is a method, not a
 closure that refers to itself), so a grounding and its scratch state are
@@ -168,6 +172,9 @@ class _Grounder:
         self.rules.add(Rule(atom, tuple(
             Literal(Atom(pred, tuple(env[s] for s in args)), negated)
             for pred, args, negated in body)))
+        self.derive(atom)
+
+    def derive(self, atom: Atom) -> None:
         if atom not in self.known:
             self.known.add(atom)
             self.fresh.setdefault(atom.signature, []).append(atom)
@@ -189,19 +196,19 @@ def ground_program(program: Program) -> GroundProgram:
     """Instantiate every rule over matches of its positive body against
     the atoms derivable by positive rule application (semi-naive).
 
-    The input is a normal program, safe as every ``Program`` is; encode its
-    probabilistic facts or demote them (``with_facts_as_rules``) first.
+    Each probabilistic fact is an open atom: it is in the Herbrand base and
+    may match a positive body, but no ground rule heads it (validation
+    keeps it out of every rule head), so a world states its facts as
+    assumptions on the grounding.
     """
-    if program.prob_facts:
-        raise ValueError("cannot ground a program with probabilistic facts; "
-                         "encode them or add them as plain facts first")
-
     grounder = _Grounder({r for r in program.rules
                           if r.head.is_ground() and all(l.atom.is_ground() for l in r.body)})
     compiled = [_compile_rule(r) for r in program.rules]
     for head, body, env, plans in compiled:
         if not plans:  # empty positive body: ground by safety, fires once
             grounder.emit(head, body, env)
+    for pf in program.prob_facts:
+        grounder.derive(pf.atom)
     while grounder.fresh:
         delta = _AtomIndex()
         for signature, atoms in grounder.fresh.items():
@@ -212,12 +219,8 @@ def ground_program(program: Program) -> GroundProgram:
             for steps in plans:
                 if steps[0][0] in delta.by_signature:
                     grounder.join(head, body, env, steps, 0, delta)
-    return GroundProgram.from_rules(grounder.rules)
-
-
-def with_facts_as_rules(program: Program) -> Program:
-    """The program with its probabilistic facts demoted to plain facts."""
-    return Program((), program.rules + tuple(Rule(pf.atom) for pf in program.prob_facts))
+    g = GroundProgram.from_rules(grounder.rules)
+    return GroundProgram(g.rules, g.herbrand_base.union(pf.atom for pf in program.prob_facts))
 
 
 def build_call_graph(program: Program) -> CallGraph:

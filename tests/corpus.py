@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from credal.ground import (CallGraph, GroundProgram, build_call_graph,
                            build_dependency_graph, ground_program,
-                           reachable_atoms, with_facts_as_rules)
+                           reachable_atoms)
 from credal.residual import encode_probabilistic_facts
 from credal.syntax import (Atom, Literal, ProbFact, Program, Query, Rule, Term,
                            const, var)
@@ -103,7 +103,8 @@ def witness_pair(answer_sets, atom) -> tuple[bool, bool]:
 
 
 def ground_rule_count(program: Program) -> int:
-    return len(ground_program(with_facts_as_rules(program)).rules)
+    """Ground rules, counting each probabilistic fact as the rule ``a.``."""
+    return len(ground_program(program).rules) + len(program.prob_facts)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,13 @@ from pathlib import Path
 import pytest
 
 import credal
-from credal.cli import dispatch
+from credal.bench import gen_reach_ba
+from credal.cli import _build_parser, dispatch
+from credal.syntax import render_program
 
 import programs
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -72,6 +76,19 @@ def test_stats_command(tmp_path, capsys):
     assert capsys.readouterr().out == "bags=2 width_ub=1 vertices=3\n"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (["stats", "reach.pasp"], "reach6_stats.txt"),
+    (["residual", "reach.pasp", "--query", "path(0,5)"], "reach6_residual.txt"),
+])
+def test_reach6_output_matches_pinned_file(tmp_path, monkeypatch, capsys, argv, expected):
+    # the installed-package check in CI diffs the same two commands against
+    # the same files
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "reach.pasp").write_text(render_program(gen_reach_ba(6, 0).program))
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out == (DATA / expected).read_text()
+
+
 def test_bench_command(tmp_path, capsys):
     out_file = tmp_path / "rows.csv"
     code = dispatch(["bench", "--datasets", "reachGrid", "--sizes", "2",
@@ -81,6 +98,13 @@ def test_bench_command(tmp_path, capsys):
     assert lines[0].startswith("dataset,size,run,mode,engine,")
     assert len(lines) == 1 + 2 * 2
     assert all(line.endswith(",ok") for line in lines[1:])
+
+
+def test_bench_timeout_defaults_to_a_minute_per_row():
+    # without a budget a default sweep runs for hours: smokersGrid 3 direct
+    # enumerates 2^21 worlds under the default 25-fact cap
+    args = _build_parser().parse_args(["bench", "--sizes", "2"])
+    assert args.timeout == 60.0
 
 
 @pytest.mark.parametrize("args, message", [

@@ -10,7 +10,7 @@ from credal.bench import gen_reach_grid
 from credal.bounds import credal_bounds_2amc, credal_bounds_enumeration, solve_query
 from credal.residual import encode_probabilistic_facts, extract_residual
 from credal.stable import enumerate_answer_sets
-from credal.syntax import Atom, Query, parse_program, parse_query
+from credal.syntax import Atom, Program, Query, Rule, parse_program, parse_query
 from credal.wfs import wfm
 
 import programs
@@ -59,16 +59,34 @@ def test_overapproximation_matches_naive_grounding_semantics():
         assert enumerate_answer_sets(fast) == enumerate_answer_sets(slow)
 
 
+def _open_fact_oracle(program):
+    """``derivable_ground`` of the program with its facts demoted to rules
+    ``a.``, minus those rules, with every fact atom in the base."""
+    facts = [Rule(pf.atom) for pf in program.prob_facts]
+    oracle = derivable_ground(Program((), program.rules + tuple(facts)))
+    return (tuple(r for r in oracle.rules if r not in facts),
+            oracle.herbrand_base | {pf.atom for pf in program.prob_facts})
+
+
 def test_grounding_rule_for_rule_against_oracle():
-    cases = [encode_probabilistic_facts(p)[0]
-             for p in make_corpus(seed=515, count=200, max_undefined=14)]
     rng = random.Random(4242)
-    cases += [encode_probabilistic_facts(random_pasp(rng))[0] for _ in range(200)]
+    sources = (make_corpus(seed=515, count=200, max_undefined=14)
+               + [random_pasp(rng) for _ in range(200)])
+    cases = [encode_probabilistic_facts(p)[0] for p in sources] + sources
     for program in cases:
         g = ground_program(program)
-        oracle = derivable_ground(program)
-        assert g.rules == oracle.rules
-        assert g.herbrand_base == oracle.herbrand_base
+        assert (g.rules, g.herbrand_base) == _open_fact_oracle(program)
+
+
+def test_grounding_keeps_facts_open():
+    g = ground_program(parse_program("0.1::a. 0.2::lonely. b :- a."))
+    assert g.rules == (parse_program("b :- a.").rules[0],)
+    assert g.herbrand_base == atoms("a", "b", "lonely")
+    program = parse_program("0.5::lonely. 0.5::a. q :- a.")
+    for mode in ("direct", "residual"):
+        for engine in ("enum", "twoamc"):
+            interval, _ = solve_query(program, parse_query("q"), mode=mode, engine=engine)
+            assert [interval.lower, interval.upper] == [0.5, 0.5]
 
 
 def _heads(g):
@@ -319,11 +337,6 @@ def test_dot_outputs():
     dep_dot = dot_dependency_graph(build_dependency_graph(ground_program(p)))
     assert '"q" -> "r";' in dep_dot
     assert dep_dot.startswith("digraph")
-
-
-def test_ground_program_rejects_prob_facts():
-    with pytest.raises(ValueError):
-        ground_program(parse_program("0.1::a."))
 
 
 def test_odd_cycle_extraction_splices_even_subloops():

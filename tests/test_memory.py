@@ -13,8 +13,7 @@ import gc
 
 import pytest
 
-from credal.bench import (gen_reach_ba, gen_smokers_ba, run_benchmark,
-                          with_facts_as_rules)
+from credal.bench import gen_reach_ba, gen_smokers_ba, run_benchmark
 from credal.bounds import SolveTimeout, solve_query
 from credal.ground import OlonError, ground_program
 from credal.residual import extract_residual
@@ -104,7 +103,7 @@ def test_extract_residual_leaves_no_cycles():
 
 
 def test_enumerate_answer_sets_leaves_no_cycles():
-    g = ground_program(with_facts_as_rules(parse_program(programs.EVEN_LOOP)))
+    g = ground_program(parse_program(programs.EVEN_LOOP))
     outcome, garbage = cyclic_garbage(lambda: enumerate_answer_sets(g))
     assert len(outcome) > 1
     assert garbage == 0
