@@ -105,7 +105,10 @@ def _build_parser() -> _ArgumentParser:
 
 
 def _read_program(path: str):
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise OSError(f"{path}: {exc}") from exc
     return parse_program(text)
 
 

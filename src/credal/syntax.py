@@ -1,22 +1,27 @@
 """Abstract syntax, parser and canonical printer for probabilistic answer set programs.
 
-A program file is a sequence of "."-terminated statements:
+A program file, read as UTF-8, is a sequence of "."-terminated statements:
 
-    FLOAT::atom.            probabilistic fact
+    PROB::atom.             probabilistic fact
     atom.                   certain fact
     atom :- lit, ..., lit.  rule
 
-where a literal is an atom optionally preceded by ``not`` (or ``\\+``),
-identifiers match ``[a-z][A-Za-z0-9_]*``, variables ``[A-Z_][A-Za-z0-9_]*``,
-and constants are identifiers or unsigned integers.  ``%`` starts a comment
-that runs to the end of the line.  Terms are function-free, which keeps the
-Herbrand universe finite.
+where PROB is a decimal ``d.d`` or the integer ``0`` or ``1``, and a literal
+is an atom optionally preceded by ``not`` (or ``\\+``).  ``not`` negates only
+when an atom follows it, so ``not.`` is the 0-ary atom ``not``.  Identifiers
+match ``[a-z][A-Za-z0-9_]*``, variables ``[A-Z_][A-Za-z0-9_]*``, and
+constants are identifiers or unsigned integers.  ``_`` is an ordinary
+variable, so two ``_`` in one rule are the same variable.  ``%`` starts a
+comment that runs to the end of the line.  Terms are function-free, which
+keeps the Herbrand universe finite.  The printer writes probabilities below
+1e-4 in full positional form, so every probability round-trips.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 
 
 class ParseError(Exception):
@@ -182,160 +187,105 @@ class Query:
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 
+# A token is (kind, text, offset); each symbol is its own kind.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>%[^\n]*)
+    r"""(?P<skip>(?:\s+|%[^\n]*)+)
       | (?P<float>\d+\.\d+)
       | (?P<int>\d+)
       | (?P<ident>[a-z][A-Za-z0-9_]*)
       | (?P<variable>[A-Z_][A-Za-z0-9_]*)
-      | (?P<coloncolon>::)
-      | (?P<arrow>:-)
-      | (?P<notsym>\\\+)
-      | (?P<punct>[(),.])
+      | (?P<symbol>::|:-|\\\+|[(),.])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
 
-@dataclass
-class _Token:
-    kind: str
-    text: str
-    line: int
-    column: int
+def _error(text: str, offset: int, message: str) -> ParseError:
+    line_start = text.rfind("\n", 0, offset) + 1
+    return ParseError(message, text.count("\n", 0, offset) + 1, offset - line_start + 1)
 
 
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - line_start + 1)
-        kind = m.lastgroup
-        raw = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, raw, line, m.start() - line_start + 1))
-        newlines = raw.count("\n")
-        if newlines:
-            line += newlines
-            line_start = m.start() + raw.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, pos - line_start + 1))
+    for m in _TOKEN_RE.finditer(text):
+        kind, raw = m.lastgroup, m.group()
+        if kind == "bad":
+            raise _error(text, m.start(), f"unexpected character {raw!r}")
+        if kind != "skip":
+            tokens.append((raw if kind == "symbol" else kind, raw, m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def peek(self, ahead: int = 0) -> str:
+        return self.tokens[self.pos + ahead][0]
 
-    def next(self) -> _Token:
+    def expect(self, *kinds: str, what: str = "") -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
+        if tok[0] not in kinds:
+            what = what or " or ".join(map(repr, kinds))
+            raise _error(self.text, tok[2],
+                         f"expected {what}, found {tok[1] or 'end of input'!r}")
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.next()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.column)
-        return tok
-
-    def expect_punct(self, char: str) -> _Token:
-        tok = self.next()
-        if tok.kind != "punct" or tok.text != char:
-            raise ParseError(f"expected {char!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.column)
-        return tok
+    def parse_list(self, parse_item, close: str) -> tuple:
+        """Items separated by ',' up to and including ``close``."""
+        items = [parse_item()]
+        while self.expect(",", close)[0] == ",":
+            items.append(parse_item())
+        return tuple(items)
 
     def parse_term(self) -> Term:
-        tok = self.next()
-        if tok.kind in ("ident", "int"):
-            nxt = self.peek()
-            if nxt.kind == "punct" and nxt.text == "(":
-                raise ParseError("function symbols are not supported (terms must be "
-                                 "constants or variables)", nxt.line, nxt.column)
-            return const(tok.text)
-        if tok.kind == "variable":
-            return var(tok.text)
-        raise ParseError(f"expected a term, found {tok.text or 'end of input'!r}",
-                         tok.line, tok.column)
+        kind, text, _ = self.expect("ident", "int", "variable", what="a term")
+        if kind == "variable":
+            return var(text)
+        if self.peek() == "(":
+            raise _error(self.text, self.tokens[self.pos][2],
+                         "function symbols are not supported (terms must be "
+                         "constants or variables)")
+        return const(text)
 
     def parse_atom(self) -> Atom:
-        tok = self.expect("ident", "a predicate name")
-        args: list[Term] = []
-        nxt = self.peek()
-        if nxt.kind == "punct" and nxt.text == "(":
-            self.next()
-            args.append(self.parse_term())
-            while True:
-                tok2 = self.next()
-                if tok2.kind == "punct" and tok2.text == ",":
-                    args.append(self.parse_term())
-                elif tok2.kind == "punct" and tok2.text == ")":
-                    break
-                else:
-                    raise ParseError(f"expected ',' or ')', found "
-                                     f"{tok2.text or 'end of input'!r}",
-                                     tok2.line, tok2.column)
-        return Atom(tok.text, tuple(args))
+        name = self.expect("ident", what="a predicate name")[1]
+        if self.peek() != "(":
+            return Atom(name)
+        self.pos += 1
+        return Atom(name, self.parse_list(self.parse_term, ")"))
 
     def parse_literal(self) -> Literal:
-        tok = self.peek()
-        negated = False
-        if tok.kind == "notsym":
-            self.next()
-            negated = True
-        elif tok.kind == "ident" and tok.text == "not":
-            # "not" is a negation token only when an atom follows; a bare
-            # "not." statement would be the 0-ary atom "not".
-            nxt = self.tokens[self.pos + 1]
-            if nxt.kind in ("ident",):
-                self.next()
-                negated = True
+        # "not" negates only when an atom follows: "not." is the atom "not"
+        text = self.tokens[self.pos][1]
+        negated = text == "\\+" or text == "not" and self.peek(1) == "ident"
+        if negated:
+            self.pos += 1
         return Literal(self.parse_atom(), negated)
 
     def parse_statement(self) -> ProbFact | Rule:
-        tok = self.peek()
-        if tok.kind in ("float", "int"):
-            self.next()
-            prob = float(tok.text)
+        kind, text, offset = self.tokens[self.pos]
+        if kind in ("float", "int"):
+            self.pos += 1
+            prob = float(text)
             if not 0.0 <= prob <= 1.0:
-                raise ParseError(f"probability {tok.text} outside [0,1]",
-                                 tok.line, tok.column)
-            self.expect("coloncolon", "'::'")
+                raise _error(self.text, offset, f"probability {text} outside [0,1]")
+            self.expect("::")
             atom = self.parse_atom()
             if not atom.is_ground():
-                raise ParseError(f"probabilistic fact atom {atom} contains variables",
-                                 tok.line, tok.column)
-            self.expect_punct(".")
+                raise _error(self.text, offset,
+                             f"probabilistic fact atom {atom} contains variables")
+            self.expect(".")
             return ProbFact(prob, atom)
         head = self.parse_atom()
-        nxt = self.next()
-        if nxt.kind == "punct" and nxt.text == ".":
+        if self.expect(":-", ".")[0] == ".":
             return Rule(head)
-        if nxt.kind != "arrow":
-            raise ParseError(f"expected ':-' or '.', found {nxt.text or 'end of input'!r}",
-                             nxt.line, nxt.column)
-        body = [self.parse_literal()]
-        while True:
-            tok2 = self.next()
-            if tok2.kind == "punct" and tok2.text == ",":
-                body.append(self.parse_literal())
-            elif tok2.kind == "punct" and tok2.text == ".":
-                break
-            else:
-                raise ParseError(f"expected ',' or '.', found "
-                                 f"{tok2.text or 'end of input'!r}",
-                                 tok2.line, tok2.column)
-        return Rule(head, tuple(body))
+        return Rule(head, self.parse_list(self.parse_literal, "."))
 
 
 def _unifies(fact_atom: Atom, head: Atom) -> bool:
@@ -379,7 +329,7 @@ def parse_program(text: str) -> Program:
     parser = _Parser(text)
     prob_facts: list[ProbFact] = []
     rules: list[Rule] = []
-    while parser.peek().kind != "eof":
+    while parser.peek() != "eof":
         stmt = parser.parse_statement()
         if isinstance(stmt, ProbFact):
             prob_facts.append(stmt)
@@ -392,13 +342,11 @@ def parse_query(text: str) -> Query:
     """Parse a single ground atom, e.g. "path(a,d)"."""
     parser = _Parser(text)
     atom = parser.parse_atom()
-    tok = parser.peek()
-    if tok.kind == "punct" and tok.text == ".":
-        parser.next()
-        tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError(f"trailing input after query atom: {tok.text!r}",
-                         tok.line, tok.column)
+    if parser.peek() == ".":
+        parser.pos += 1
+    kind, rest, offset = parser.tokens[parser.pos]
+    if kind != "eof":
+        raise _error(text, offset, f"trailing input after query atom: {rest!r}")
     if not atom.is_ground():
         raise ParseError(f"query atom {atom} contains variables", 1, 1)
     return Query(atom)
@@ -408,12 +356,11 @@ def parse_query(text: str) -> Query:
 # canonical printer
 
 def _format_probability(p: float) -> str:
-    s = repr(p)
-    if "e" in s or "E" in s:
-        s = f"{p:.20f}".rstrip("0")
-        if s.endswith("."):
-            s += "0"
-    return s
+    """``repr`` unless it has an exponent (below 1e-4), which the grammar
+    lacks: then the exact positional form of that shortest repr.  ``abs``
+    writes -0.0 as 0.0."""
+    s = repr(abs(p))
+    return format(Decimal(s), "f") if "e" in s else s
 
 
 def render_program(program: Program) -> str:

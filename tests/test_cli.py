@@ -184,6 +184,18 @@ def test_missing_file_exit_code(capsys):
     assert capsys.readouterr().err.startswith("error[io]:")
 
 
+@pytest.mark.parametrize("command", ["solve", "residual", "stats"])
+def test_bad_input_files_give_one_error_line(command, capsys):
+    # the committed files that CI's bare-venv step also runs
+    query = [] if command == "stats" else ["--query", "a"]
+    assert dispatch([command, str(DATA / "malformed.pasp"), *query]) == 2
+    assert capsys.readouterr().err == (DATA / "malformed.err").read_text()
+    path = str(DATA / "not_utf8.pasp")
+    assert dispatch([command, path, *query]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error[io]: {path}: ") and err.count("\n") == 1
+
+
 def test_usage_error_exit_code(capsys):
     code = dispatch(["solve"])  # missing input and query
     assert code == 1
