@@ -19,11 +19,11 @@ import time
 import zlib
 from dataclasses import dataclass
 
-from .bounds import (DEFAULT_MAX_PROB_FACTS, DEFAULT_MAX_UNDEFINED,
+from .bounds import (DEFAULT_MAX_PROB_FACTS, DEFAULT_MAX_UNDEFINED, MODES,
                      CredalUndefinedError, ProbFactLimitError, SolveTimeout,
-                     _interval, select_engine)
+                     select_engine)
 from .ground import GroundProgram, OlonError, ground_program
-from .residual import CERTAIN_TRUE, extract_residual
+from .residual import extract_residual
 from .stable import UndefinedAtomLimitError, check_caps
 from .syntax import (Atom, Program, ProbFact, Query, const, parse_program,
                      render_program)
@@ -213,8 +213,6 @@ def primal_graph_stats(g: GroundProgram) -> DecompositionStats:
     return DecompositionStats(bags, max(width, len(graph) - 1), len(g.herbrand_base))
 
 
-MODES = ("direct", "residual")
-
 CSV_HEADER = ("dataset,size,run,mode,engine,parse_ms,ground_ms,residual_ms,"
               "solve_ms,total_ms,lower,upper,bags,width_ub,vertices,status")
 
@@ -269,12 +267,10 @@ def _bench_row(instance, mode, engine, solve, time_budget,
     status = "ok"
     interval = None
     target = program
-    residual = None
     if mode == "residual":
         t0 = clock()
         try:
-            residual = extract_residual(program, instance.query)
-            target = residual.program
+            target = extract_residual(program, instance.query).program
         except OlonError:
             status = "error"
         residual_ms = (clock() - t0) * 1000.0
@@ -287,15 +283,10 @@ def _bench_row(instance, mode, engine, solve, time_budget,
     t0 = clock()
     if status == "ok":
         try:
-            if residual is not None and residual.query_status != "undefined":
-                certain = 1.0 if residual.query_status == CERTAIN_TRUE else 0.0
-                interval = _interval(certain, certain)
-            else:
-                deadline = None if time_budget is None else clock() + time_budget
-                interval = solve(target, instance.query,
-                                 max_prob_facts=max_prob_facts,
-                                 max_undefined=max_undefined,
-                                 deadline=deadline, clock=clock)
+            deadline = None if time_budget is None else clock() + time_budget
+            interval = solve(target, instance.query, max_prob_facts=max_prob_facts,
+                             max_undefined=max_undefined, deadline=deadline,
+                             clock=clock)
         except SolveTimeout:
             status = "timeout"
         except (ProbFactLimitError, UndefinedAtomLimitError,

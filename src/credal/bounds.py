@@ -21,12 +21,13 @@ from dataclasses import dataclass
 
 from . import stable
 from .ground import OlonError, build_call_graph, detect_olon, ground_program
-from .residual import CERTAIN_TRUE, UNDEFINED, extract_residual
+from .residual import extract_residual
 from .stable import SolveTimeout, check_caps, iter_answer_sets
 from .syntax import Program, Query
 
 DEFAULT_MAX_PROB_FACTS = 25
 DEFAULT_MAX_UNDEFINED = 24
+MODES = ("direct", "residual")
 
 
 class ProbFactLimitError(Exception):
@@ -181,22 +182,17 @@ def solve_query(program: Program, query: Query, *, mode: str = "residual",
                 max_undefined: int = DEFAULT_MAX_UNDEFINED,
                 deadline: float | None = None,
                 clock=time.perf_counter):
-    """Answer a query either on the program as given or on its residual.
+    """Answer a query either on the program as given or on its residual;
+    the engine solves whichever program ``mode`` names.
 
     Returns ``(interval, residual_or_None)``.
     """
     check_caps(max_prob_facts=max_prob_facts, max_undefined=max_undefined)
     solve = select_engine(engine)
-    if mode == "direct":
-        interval = solve(program, query, max_prob_facts=max_prob_facts,
-                         max_undefined=max_undefined, deadline=deadline, clock=clock)
-        return interval, None
-    if mode != "residual":
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    residual = extract_residual(program, query)
-    if residual.query_status != UNDEFINED:
-        certain = 1.0 if residual.query_status == CERTAIN_TRUE else 0.0
-        return _interval(certain, certain), residual
-    interval = solve(residual.program, query, max_prob_facts=max_prob_facts,
-                     max_undefined=max_undefined, deadline=deadline, clock=clock)
+    residual = extract_residual(program, query) if mode == "residual" else None
+    interval = solve(program if residual is None else residual.program, query,
+                     max_prob_facts=max_prob_facts, max_undefined=max_undefined,
+                     deadline=deadline, clock=clock)
     return interval, residual

@@ -16,8 +16,8 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .bounds import (DEFAULT_MAX_PROB_FACTS, DEFAULT_MAX_UNDEFINED, ENGINES,
-                     CredalUndefinedError, ProbFactLimitError, SolveTimeout,
-                     solve_query)
+                     MODES, CredalUndefinedError, ProbFactLimitError,
+                     SolveTimeout, solve_query)
 from .ground import (OlonError, build_call_graph, build_dependency_graph, dot_call_graph,
                      dot_dependency_graph, ground_program)
 from .residual import extract_residual
@@ -77,7 +77,7 @@ def _build_parser() -> _ArgumentParser:
 
     solve = sub.add_parser("solve", help="print credal bounds for a query")
     add_common(solve, True)
-    solve.add_argument("--mode", choices=("direct", "residual"), default="residual")
+    solve.add_argument("--mode", choices=MODES, default="residual")
     add_engine(solve)
     solve.add_argument("--max-prob-facts", type=_CAP, default=DEFAULT_MAX_PROB_FACTS)
     solve.add_argument("--max-undefined", type=_CAP, default=DEFAULT_MAX_UNDEFINED)
@@ -106,7 +106,8 @@ def _build_parser() -> _ArgumentParser:
 
 def _read_program(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # the mark goes after decoding, so a bad byte's position is the file's
+        text = Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise OSError(f"{path}: {exc}") from exc
     return parse_program(text)
@@ -201,34 +202,28 @@ _COMMANDS = {
 }
 
 
+# error kind and exit code per exception type; the first type that matches wins
+_FAILURES = {
+    _UsageError: ("usage", 1),
+    OSError: ("io", 1),
+    ParseError: ("syntax", 2),
+    ProgramError: ("program", 2),
+    OlonError: ("olon", 2),
+    ProbFactLimitError: ("limit", 2),
+    UndefinedAtomLimitError: ("limit", 2),
+    CredalUndefinedError: ("credal", 2),
+    SolveTimeout: ("timeout", 2),
+}
+
+
 def dispatch(argv) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error[usage]: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error[io]: {exc}", file=sys.stderr)
-        return 1
-    except ParseError as exc:
-        print(f"error[syntax]: {exc}", file=sys.stderr)
-        return 2
-    except ProgramError as exc:
-        print(f"error[program]: {exc}", file=sys.stderr)
-        return 2
-    except OlonError as exc:
-        print(f"error[olon]: {exc}", file=sys.stderr)
-        return 2
-    except (ProbFactLimitError, UndefinedAtomLimitError) as exc:
-        print(f"error[limit]: {exc}", file=sys.stderr)
-        return 2
-    except CredalUndefinedError as exc:
-        print(f"error[credal]: {exc}", file=sys.stderr)
-        return 2
-    except SolveTimeout as exc:
-        print(f"error[timeout]: {exc}", file=sys.stderr)
-        return 2
+    except tuple(_FAILURES) as exc:
+        kind, code = next(v for t, v in _FAILURES.items() if isinstance(exc, t))
+        print(f"error[{kind}]: {exc}", file=sys.stderr)
+        return code
 
 
 def main() -> None:

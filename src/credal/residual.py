@@ -11,7 +11,9 @@ reduct then discards everything the model already decides, relevance keeps
 the rules the query can reach, and surviving loops are folded back into
 their probabilistic facts.  The result answers the query with the same
 credal bounds as the original program, usually from a much smaller
-grounding.
+grounding, and can be solved again as it stands: a query the well-founded
+model makes true reduces to the fact ``q.``, one it makes false to the
+empty program.
 """
 
 from __future__ import annotations
@@ -40,7 +42,10 @@ class EncodingError(Exception):
 class ResidualProgram:
     program: Program
     query_status: str  # certain-true | certain-false | undefined
-    kept_fact_atoms: frozenset[Atom]
+
+    @property
+    def kept_fact_atoms(self) -> frozenset[Atom]:
+        return frozenset(pf.atom for pf in self.program.prob_facts)
 
 
 def _complement_atom(atom: Atom) -> Atom:
@@ -95,10 +100,12 @@ def extract_residual(program: Program, query: Query) -> ResidualProgram:
     """Reduce a program to the part that can still decide the query.
 
     Pipeline: encode the probabilistic facts, ground, take the well-founded
-    model.  A query the model already decides short-circuits to an empty
-    residual with a certain status.  Otherwise the well-founded reduct is
+    model.  A query the model makes true reduces to the fact ``q.``, one it
+    makes false to the empty program, whose grounding lacks the query atom;
+    either way with a certain status.  Otherwise the well-founded reduct is
     restricted to the rules whose head the query reaches, and surviving
-    loops are decoded back into probabilistic facts.
+    loops are decoded back into probabilistic facts.  Solving the residual
+    gives the query the same bounds as solving the program.
     """
     witness = detect_olon(build_call_graph(program))
     if witness is not None:
@@ -108,15 +115,13 @@ def extract_residual(program: Program, query: Query) -> ResidualProgram:
     g = ground_program(encoded)
     model = wfm(g)
     if query.atom in model.true_set:
-        return ResidualProgram(Program(), CERTAIN_TRUE, frozenset())
+        return ResidualProgram(Program((), (Rule(query.atom),)), CERTAIN_TRUE)
     if query.atom in model.false_set or query.atom not in g.herbrand_base:
-        return ResidualProgram(Program(), CERTAIN_FALSE, frozenset())
+        return ResidualProgram(Program(), CERTAIN_FALSE)
 
     reduct = wf_reduct(g, model)
     undefined = model.undefined_in(g.herbrand_base)
     keep = reachable_atoms(build_dependency_graph(reduct), query.atom)
     restricted = GroundProgram.from_rules(
         r for r in reduct.rules if r.head in keep and r.head in undefined)
-    decoded = decode_probabilistic_facts(restricted, entries)
-    return ResidualProgram(decoded, UNDEFINED,
-                           frozenset(pf.atom for pf in decoded.prob_facts))
+    return ResidualProgram(decode_probabilistic_facts(restricted, entries), UNDEFINED)

@@ -16,7 +16,7 @@ it equals its own Gamma; that check alone makes the search sound.  The
 search grows with the answer sets and pruned branches, not with the 2^k
 subsets of k undefined atoms: the even ring ``a_i :- not a_{i+1 mod 18}``
 takes 27 nodes.  Answer sets are frozensets of the atom ids of an
-``IndexedProgram``; only ``enumerate_answer_sets`` maps them to atoms.
+``IndexedProgram``, whose ``to_atoms`` maps them back to atoms.
 
 Two leaves run the search on one world.  ``iter_answer_sets`` lists every
 answer set; ``query_witnesses`` asks whether some answer set contains the
@@ -33,7 +33,6 @@ by reference counting (guarded by ``tests/test_memory.py``).
 
 from __future__ import annotations
 
-from .ground import GroundProgram
 from .wfs import IndexedProgram, _wfm_ids, least_model, watch_list
 
 
@@ -141,11 +140,3 @@ def _search(rules, watch, undef, base, deadline, clock, yes, no, true):
     model = true | yes
     if least_model(rules, watch, model, ()) == model:
         yield base | model
-
-
-def enumerate_answer_sets(g: GroundProgram, max_undefined: int = 24) -> frozenset:
-    """All stable models of the ground program, as a set of atom sets."""
-    check_caps(max_undefined=max_undefined)
-    index = IndexedProgram(g)
-    return frozenset(index.to_atoms(ids) for ids in
-                     iter_answer_sets(index, (), max_undefined, None, None))

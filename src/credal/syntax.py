@@ -348,7 +348,8 @@ def parse_query(text: str) -> Query:
     if kind != "eof":
         raise _error(text, offset, f"trailing input after query atom: {rest!r}")
     if not atom.is_ground():
-        raise ParseError(f"query atom {atom} contains variables", 1, 1)
+        offset = next(tok[2] for tok in parser.tokens if tok[0] == "variable")
+        raise _error(text, offset, f"query atom {atom} contains variables")
     return Query(atom)
 
 

@@ -19,9 +19,10 @@ from credal.ground import (CallGraph, GroundProgram, build_call_graph,
                            build_dependency_graph, ground_program,
                            reachable_atoms)
 from credal.residual import encode_probabilistic_facts
+from credal.stable import check_caps, iter_answer_sets
 from credal.syntax import (Atom, Literal, ProbFact, Program, Query, Rule, Term,
                            const, var)
-from credal.wfs import ThreeValuedInterpretation, wfm
+from credal.wfs import IndexedProgram, ThreeValuedInterpretation, wfm
 from credal.ground import detect_olon
 
 # ---------------------------------------------------------------------------
@@ -105,6 +106,14 @@ def witness_pair(answer_sets, atom) -> tuple[bool, bool]:
 def ground_rule_count(program: Program) -> int:
     """Ground rules, counting each probabilistic fact as the rule ``a.``."""
     return len(ground_program(program).rules) + len(program.prob_facts)
+
+
+def enumerate_answer_sets(g: GroundProgram, max_undefined: int = 24) -> frozenset:
+    """All stable models of the ground program, as a set of atom sets."""
+    check_caps(max_undefined=max_undefined)
+    index = IndexedProgram(g)
+    return frozenset(index.to_atoms(ids) for ids in
+                     iter_answer_sets(index, (), max_undefined, None, None))
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,13 @@ from credal.bounds import (ProbabilityInterval, ProbFactLimitError, SolveTimeout
                            World, _count_leaf, credal_bounds_2amc,
                            credal_bounds_enumeration, solve_query, world_probability)
 from credal.ground import OlonError, ground_program
-from credal.stable import enumerate_answer_sets, iter_answer_sets, query_witnesses
+from credal.stable import iter_answer_sets, query_witnesses
 from credal.syntax import (Atom, Literal, ProbFact, Program, Query, Rule, const,
                            parse_program, parse_query, render_program)
 
 import programs
-from corpus import dynamically_stratified, inner_count, oracle_bounds, witness_pair
+from corpus import (dynamically_stratified, enumerate_answer_sets, inner_count,
+                    oracle_bounds, witness_pair)
 
 
 EX4 = parse_program(programs.PROB_EDGES_RECURSIVE)

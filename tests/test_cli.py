@@ -6,6 +6,7 @@ import pytest
 
 import credal
 from credal.bench import gen_reach_ba
+from credal.bounds import CredalUndefinedError, SolveTimeout, World
 from credal.cli import _build_parser, dispatch
 from credal.syntax import render_program
 
@@ -66,7 +67,7 @@ def test_residual_certain_status(tmp_path, capsys):
     path = tmp_path / "p.pasp"
     path.write_text("q.\n0.5::a.\n")
     assert dispatch(["residual", str(path), "--query", "q"]) == 0
-    assert capsys.readouterr().out == "% status: certain-true\n"
+    assert capsys.readouterr().out == "q.\n% status: certain-true\n"
 
 
 def test_stats_command(tmp_path, capsys):
@@ -194,6 +195,34 @@ def test_bad_input_files_give_one_error_line(command, capsys):
     assert dispatch([command, path, *query]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error[io]: {path}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, out", [
+    ("solve", "P(q) = [0.500000, 0.500000]\n"),
+    ("residual", "0.5::a.\nq :- a.\n% status: undefined\n"),
+    ("stats", "bags=1 width_ub=1 vertices=2\n"),
+])
+def test_leading_byte_order_mark_is_skipped(command, out, capsys):
+    path = DATA / "bom.pasp"
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    query = [] if command == "stats" else ["--query", "q"]
+    assert dispatch([command, str(path), *query]) == 0
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("failure, kind", [
+    (CredalUndefinedError(World(()), ()), "credal"),
+    (SolveTimeout("time budget exceeded at world 0 of 1"), "timeout"),
+])
+def test_engine_failures_name_their_kind(prob_edges, capsys, monkeypatch, failure, kind):
+    # `solve` sets no budget and refuses odd loops first, so no input file
+    # reaches these two kinds
+    def fail(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr("credal.cli.solve_query", fail)
+    assert dispatch(["solve", prob_edges, "--query", "path(a,d)"]) == 2
+    assert capsys.readouterr().err == f"error[{kind}]: {failure}\n"
 
 
 def test_usage_error_exit_code(capsys):

@@ -9,13 +9,13 @@ from credal.ground import (CallGraph, OlonError, OlonWitness, build_call_graph,
 from credal.bench import gen_reach_grid
 from credal.bounds import credal_bounds_2amc, credal_bounds_enumeration, solve_query
 from credal.residual import encode_probabilistic_facts, extract_residual
-from credal.stable import enumerate_answer_sets
 from credal.syntax import Atom, Program, Query, Rule, parse_program, parse_query
 from credal.wfs import wfm
 
 import programs
-from corpus import (derivable_ground, has_odd_cycle, make_corpus, naive_ground,
-                    random_pasp, random_pasp_with_fact_heads, relevant_subprogram)
+from corpus import (derivable_ground, enumerate_answer_sets, has_odd_cycle,
+                    make_corpus, naive_ground, random_pasp,
+                    random_pasp_with_fact_heads, relevant_subprogram)
 
 
 def atoms(*names):

@@ -17,10 +17,11 @@ from credal.bench import gen_reach_ba, gen_smokers_ba, run_benchmark
 from credal.bounds import SolveTimeout, solve_query
 from credal.ground import OlonError, ground_program
 from credal.residual import extract_residual
-from credal.stable import UndefinedAtomLimitError, enumerate_answer_sets
+from credal.stable import UndefinedAtomLimitError
 from credal.syntax import parse_program, parse_query
 
 import programs
+from corpus import enumerate_answer_sets
 
 REACH_8 = gen_reach_ba(8, 2)
 SMOKERS_5 = gen_smokers_ba(5, 0)

@@ -1,16 +1,15 @@
 import pytest
 
-from credal.bounds import credal_bounds_enumeration
+from credal.bounds import credal_bounds_enumeration, solve_query
 from credal.ground import GroundProgram, OlonError, ground_program
 from credal.residual import (CERTAIN_FALSE, CERTAIN_TRUE, UNDEFINED,
                              EncodingError, decode_probabilistic_facts,
                              encode_probabilistic_facts, extract_residual)
-from credal.stable import enumerate_answer_sets
 from credal.syntax import (Atom, Literal, ProbFact, Program, Rule,
                            parse_program, parse_query, render_program)
 
 import programs
-from corpus import project_answer_sets
+from corpus import enumerate_answer_sets, project_answer_sets
 
 
 def rule_key(rule):
@@ -87,7 +86,7 @@ def test_residual_certain_true_and_false():
     p = parse_program("q.\n0.5::a.")
     residual = extract_residual(p, parse_query("q"))
     assert residual.query_status == CERTAIN_TRUE
-    assert residual.program == Program()
+    assert residual.program == Program((), (Rule(Atom("q")),))
 
     residual = extract_residual(p, parse_query("zzz"))
     assert residual.query_status == CERTAIN_FALSE
@@ -113,8 +112,6 @@ def test_residual_rendering_round_trips():
 def test_residual_idempotent(corpus200, even_loop_corpus):
     for program, query in corpus200[:60] + even_loop_corpus:
         first = extract_residual(program, query)
-        if first.query_status != UNDEFINED:
-            continue
         second = extract_residual(first.program, query)
         assert render_program(second.program) == render_program(first.program)
 
@@ -158,8 +155,6 @@ def test_projected_answer_sets_match_residual(corpus200):
     # alphabet, coincide with the answer sets of the encoded residual
     for program, query in corpus200:
         residual = extract_residual(program, query)
-        if residual.query_status != UNDEFINED:
-            continue
         encoded_full, _ = encode_probabilistic_facts(program)
         full_sets = enumerate_answer_sets(ground_program(encoded_full))
 
@@ -173,13 +168,19 @@ def test_projected_answer_sets_match_residual(corpus200):
 def test_residual_preserves_bounds(corpus200):
     for program, query in corpus200[:80]:
         direct = credal_bounds_enumeration(program, query)
-        residual = extract_residual(program, query)
-        if residual.query_status == CERTAIN_TRUE:
-            via = (1.0, 1.0)
-        elif residual.query_status == CERTAIN_FALSE:
-            via = (0.0, 0.0)
-        else:
-            interval = credal_bounds_enumeration(residual.program, query)
-            via = (interval.lower, interval.upper)
-        assert direct.lower == pytest.approx(via[0], abs=1e-9)
-        assert direct.upper == pytest.approx(via[1], abs=1e-9)
+        via = credal_bounds_enumeration(extract_residual(program, query).program, query)
+        assert direct.lower == pytest.approx(via.lower, abs=1e-9)
+        assert direct.upper == pytest.approx(via.upper, abs=1e-9)
+
+
+def test_printed_residual_answers_its_query(corpus200, even_loop_corpus):
+    # the residual as `credal residual` prints it, parsed back and solved
+    # directly, gives residual mode's bounds; a query the well-founded
+    # model decides reduces to the fact `q.` or to the empty program
+    for program, query in corpus200 + even_loop_corpus:
+        for engine in ("enum", "twoamc"):
+            interval, residual = solve_query(program, query, engine=engine)
+            printed = render_program(residual.program)
+            again, _ = solve_query(parse_program(printed), query, mode="direct",
+                                   engine=engine)
+            assert repr(again) == repr(interval), (printed, query, engine)

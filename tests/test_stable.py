@@ -4,15 +4,16 @@ import pytest
 
 from credal.ground import GroundProgram, ground_program
 from credal.residual import encode_probabilistic_facts
-from credal.stable import (UndefinedAtomLimitError, enumerate_answer_sets,
-                           iter_answer_sets, query_witnesses)
+from credal.stable import (UndefinedAtomLimitError, iter_answer_sets,
+                           query_witnesses)
 from credal.syntax import Atom, Program, Rule, parse_program, parse_query
 from credal.wfs import IndexedProgram, wfm
 
 import programs
-from corpus import (dynamically_stratified, gl_reduct, is_stable, least_model,
-                    project_answer_sets, random_pasp, subsets_stable_models,
-                    wfm_restricted_stable_models, witness_pair)
+from corpus import (dynamically_stratified, enumerate_answer_sets, gl_reduct,
+                    is_stable, least_model, project_answer_sets, random_pasp,
+                    subsets_stable_models, wfm_restricted_stable_models,
+                    witness_pair)
 
 
 def world_ground(text, selected):

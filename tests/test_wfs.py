@@ -1,12 +1,12 @@
 from credal.ground import ground_program
 from credal.residual import encode_probabilistic_facts
-from credal.stable import enumerate_answer_sets
 from credal.syntax import Atom, parse_program, parse_query
 from credal.wfs import ThreeValuedInterpretation, wf_reduct, wfm
 
 import programs
-from corpus import (EMPTY_INTERPRETATION, dynamically_stratified, gfp_of,
-                    is_fact, iterated_wfm, leq, lfp_ot, naive_ground)
+from corpus import (EMPTY_INTERPRETATION, dynamically_stratified,
+                    enumerate_answer_sets, gfp_of, is_fact, iterated_wfm, leq,
+                    lfp_ot, naive_ground)
 
 import pytest
 
