@@ -14,7 +14,7 @@ from .ground import (CallGraph, DependencyGraph, GroundProgram, OlonError,
 from .residual import (CERTAIN_FALSE, CERTAIN_TRUE, UNDEFINED, ResidualProgram,
                        decode_probabilistic_facts, encode_probabilistic_facts,
                        extract_residual)
-from .stable import UndefinedAtomLimitError, iter_answer_sets
+from .stable import UndefinedAtomLimitError, iter_answer_sets, reduce_world
 from .syntax import (Atom, Literal, ParseError, ProbFact, Program,
                      ProgramError, Query, Rule, Term, const, parse_program,
                      parse_query, render_program, var)

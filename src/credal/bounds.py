@@ -2,14 +2,18 @@
 
 Both engines run one fold, ``_WorldSolver.fold``.  It walks every world
 (one per subset of the probabilistic facts, in increasing bit-vector order
-with the first fact as the most significant bit, so sums are reproducible)
-and asks the engine's leaf whether some answer set contains the query and
-whether some omits it.  The world's probability goes to the upper bound in
-the first case and to the lower bound unless the second holds; a world with
-no answer set makes the credal semantics undefined.  The leaves differ in
-algorithm: ``enum`` (``credal_bounds_enumeration``, the counting reference
-and the engine the benchmark measures) lists every answer set through
-``iter_answer_sets``; ``twoamc`` (``credal_bounds_2amc``) reads the two bits
+with the first fact as the most significant bit, so sums are reproducible),
+reduces it by its well-founded model (``stable.reduce_world``) and asks the
+engine's leaf whether some answer set contains the query and whether some
+omits it.  Worlds that reduce alike share one leaf result: the same rules on
+the same undefined atoms, with the query true in both well-founded models
+or in neither, give the same two bits.  The world's probability goes to the
+upper bound in the first case and to the lower bound unless the second
+holds; a world with no answer set makes the credal semantics undefined.
+The leaves differ in algorithm: ``enum`` (``credal_bounds_enumeration``, the
+counting reference and the engine the benchmark measures) lists every answer
+set of each distinct reduced world program through ``iter_answer_sets``;
+``twoamc`` (``credal_bounds_2amc``) reads the two bits
 as the inner level of a two-level algebraic model count (Kiesel, Totis &
 Kimmig, KR 2022) off one witness search each, ``stable.query_witnesses``.
 """
@@ -110,18 +114,27 @@ class _WorldSolver:
         self.n = len(program.prob_facts)
 
     def fold(self, leaf) -> ProbabilityInterval:
-        """The bounds from ``leaf(index, facts, query_id, max_undefined,
-        deadline, clock)``: per world, (some answer set contains the query,
-        some omits it); ``query_id`` is None outside the grounding."""
+        """The bounds from ``leaf(world, query_id, deadline, clock)``: per
+        world, (some answer set contains the query, some omits it), where
+        ``world`` is the world's ``stable.reduce_world`` and ``query_id`` is
+        None outside the grounding.  Those two bits depend only on the
+        reduced rules, the undefined atoms and whether the query is in the
+        base, so worlds that agree on all three share one leaf call."""
         query_id = self.index.ids.get(self.query.atom)
         lower = upper = 0.0
+        leaves: dict[tuple, tuple[bool, bool]] = {}
         for index in range(1 << self.n):
             if self.deadline is not None and self.clock() > self.deadline:
                 raise SolveTimeout(f"time budget exceeded at world {index} of {1 << self.n}")
             world = World.from_index(index, self.n)
             facts = [i for i, sel in zip(self.fact_ids, world.selection) if sel]
-            contains, omits = leaf(self.index, facts, query_id, self.max_undefined,
-                                   self.deadline, self.clock)
+            reduced = stable.reduce_world(self.index, facts, self.max_undefined)
+            rules, undef, base = reduced
+            key = (rules, undef, query_id in base)
+            bits = leaves.get(key)
+            if bits is None:
+                bits = leaves[key] = leaf(reduced, query_id, self.deadline, self.clock)
+            contains, omits = bits
             if not (contains or omits):
                 raise CredalUndefinedError(
                     world, [pf.atom for pf, sel
@@ -134,10 +147,10 @@ class _WorldSolver:
         return _interval(lower, upper)
 
 
-def _count_leaf(index, facts, query_id, max_undefined, deadline, clock):
-    """The two bits read off every answer set of the world."""
+def _count_leaf(world, query_id, deadline, clock):
+    """The two bits read off every answer set of the reduced world."""
     contains = omits = False
-    for answer_set in iter_answer_sets(index, facts, max_undefined, deadline, clock):
+    for answer_set in iter_answer_sets(world, deadline, clock):
         if query_id in answer_set:
             contains = True
         else:

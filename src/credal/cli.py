@@ -54,7 +54,9 @@ _CAP = _bounded(int, lambda n: n >= 0, "at least 0")
 _RUNS = _bounded(int, lambda n: n >= 1, "at least 1")
 _SECONDS = _bounded(float, lambda t: t > 0, "positive")
 
-_ENGINE_HELP = {"enum": "counts every answer set (the reference)",
+_ENGINE_HELP = {"enum": "lists every answer set of each distinct reduced world "
+                        "program; worlds that reduce alike share one result "
+                        "(the reference)",
                 "twoamc": "looks for one witness per question"}
 
 

@@ -18,11 +18,17 @@ subsets of k undefined atoms: the even ring ``a_i :- not a_{i+1 mod 18}``
 takes 27 nodes.  Answer sets are frozensets of the atom ids of an
 ``IndexedProgram``, whose ``to_atoms`` maps them back to atoms.
 
-Two leaves run the search on one world.  ``iter_answer_sets`` lists every
-answer set; ``query_witnesses`` asks whether some answer set contains the
-query and whether some omits it (brave and cautious reasoning; Gebser et
-al., *Answer Set Solving in Practice*, 2012) by searching to a first answer
-set with the query assumed true, then false, or once if the WFM decides it.
+``reduce_world`` turns one world into the search's input: its rules on the
+undefined atoms, those atoms, and the WFM's true atoms, the ``base`` that
+every answer set of the world contains.  The answer sets of two worlds
+with the same rules and undefined atoms differ only in that base, so the
+world fold runs a leaf once per distinct reduced world program and worlds
+that reduce alike share its result.  Two leaves search one reduced world.
+``iter_answer_sets`` lists every answer set of it; ``query_witnesses`` asks
+whether some answer set contains the query and whether some omits it (brave
+and cautious reasoning; Gebser et al., *Answer Set Solving in Practice*,
+2012) by searching to a first answer set with the query assumed true, then
+false, or once if the WFM decides it.
 The pruning argument holds at any node, the root included, so assumptions
 prune only models that disagree with them and the search below them is
 complete; the stability check keeps every witness an answer set.
@@ -70,14 +76,18 @@ def _evaluate_decided(rules, val):
             continue
         out.append((head, tuple(b for b in pos if val[b] is None),
                     tuple(c for c in neg if val[c] is None)))
-    return out
+    return tuple(out)
 
 
-def _world(index: IndexedProgram, facts, max_undefined: int):
-    """The search's input for one world: its rules on the WFM-undefined
-    atoms, their watch list, those atoms and the WFM's true atom ids."""
+def reduce_world(index: IndexedProgram, facts, max_undefined: int):
+    """The world of the indexed program plus the atom ids ``facts``, reduced
+    by its well-founded model: ``(rules, undef, base)``, the rules on the
+    undefined atoms ``undef`` (a sorted tuple) with every decided literal
+    evaluated away, and the true atom ids ``base``.  Raises
+    ``UndefinedAtomLimitError`` when more than ``max_undefined`` atoms are
+    undefined."""
     true_ids, possible = _wfm_ids(index, facts)
-    undef = sorted(possible - true_ids)
+    undef = tuple(sorted(possible - true_ids))
     if len(undef) > max_undefined:
         raise UndefinedAtomLimitError(len(undef), max_undefined)
 
@@ -87,25 +97,24 @@ def _world(index: IndexedProgram, facts, max_undefined: int):
     for i in undef:
         val[i] = None
     rules = _evaluate_decided([r for r in index.rules if val[r[0]] is None], val)
-    return rules, watch_list(rules, undef), undef, frozenset(true_ids)
+    return rules, undef, frozenset(true_ids)
 
 
-def iter_answer_sets(index: IndexedProgram, facts, max_undefined: int,
-                     deadline: float | None, clock):
-    """Yield every stable model of the indexed program plus the atom ids
-    ``facts``, as a frozenset of atom ids, in a deterministic order.  The
-    search checks ``clock()`` against ``deadline`` (None for no budget) and
-    raises ``SolveTimeout``."""
-    yield from _search(*_world(index, facts, max_undefined), deadline, clock,
+def iter_answer_sets(world, deadline: float | None, clock):
+    """Yield every stable model of the ``reduce_world`` triple ``world``, as
+    a frozenset of atom ids, in a deterministic order.  The search checks ``clock()``
+    against ``deadline`` (None for no budget) and raises ``SolveTimeout``."""
+    rules, undef, base = world
+    yield from _search(rules, watch_list(rules, undef), undef, base, deadline, clock,
                        frozenset(), frozenset(), frozenset())
 
 
-def query_witnesses(index: IndexedProgram, facts, query_id, max_undefined: int,
-                    deadline: float | None, clock) -> tuple[bool, bool]:
+def query_witnesses(world, query_id, deadline: float | None, clock) -> tuple[bool, bool]:
     """(some answer set contains the atom ``query_id``, some omits it) for
-    the indexed program plus the atom ids ``facts``; ``query_id`` None is an
-    atom outside the grounding.  Each search stops at its first answer set."""
-    rules, watch, undef, base = _world(index, facts, max_undefined)
+    the reduced world; ``query_id`` None is an atom outside the grounding.
+    Each search stops at its first answer set."""
+    rules, undef, base = world
+    watch = watch_list(rules, undef)
 
     def witness(yes, no):
         return next(_search(rules, watch, undef, base, deadline, clock,

@@ -207,11 +207,12 @@ def _error(text: str, offset: int, message: str) -> ParseError:
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The tokens of ``text``; a character outside the grammar is a ``bad``
+    token, reported only when the parser reaches it, so an earlier syntax
+    error is reported first."""
     tokens = []
     for m in _TOKEN_RE.finditer(text):
         kind, raw = m.lastgroup, m.group()
-        if kind == "bad":
-            raise _error(text, m.start(), f"unexpected character {raw!r}")
         if kind != "skip":
             tokens.append((raw if kind == "symbol" else kind, raw, m.start()))
     tokens.append(("eof", "", len(text)))
@@ -227,12 +228,18 @@ class _Parser:
     def peek(self, ahead: int = 0) -> str:
         return self.tokens[self.pos + ahead][0]
 
+    def fail(self, message: str) -> ParseError:
+        """``message`` at the current token, unless that is a bad character."""
+        kind, text, offset = self.tokens[self.pos]
+        if kind == "bad":
+            message = f"unexpected character {text!r}"
+        return _error(self.text, offset, message)
+
     def expect(self, *kinds: str, what: str = "") -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         if tok[0] not in kinds:
             what = what or " or ".join(map(repr, kinds))
-            raise _error(self.text, tok[2],
-                         f"expected {what}, found {tok[1] or 'end of input'!r}")
+            raise self.fail(f"expected {what}, found {tok[1] or 'end of input'!r}")
         self.pos += 1
         return tok
 
@@ -344,9 +351,9 @@ def parse_query(text: str) -> Query:
     atom = parser.parse_atom()
     if parser.peek() == ".":
         parser.pos += 1
-    kind, rest, offset = parser.tokens[parser.pos]
+    kind, rest, _ = parser.tokens[parser.pos]
     if kind != "eof":
-        raise _error(text, offset, f"trailing input after query atom: {rest!r}")
+        raise parser.fail(f"trailing input after query atom: {rest!r}")
     if not atom.is_ground():
         offset = next(tok[2] for tok in parser.tokens if tok[0] == "variable")
         raise _error(text, offset, f"query atom {atom} contains variables")

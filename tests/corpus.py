@@ -19,7 +19,7 @@ from credal.ground import (CallGraph, GroundProgram, build_call_graph,
                            build_dependency_graph, ground_program,
                            reachable_atoms)
 from credal.residual import encode_probabilistic_facts
-from credal.stable import check_caps, iter_answer_sets
+from credal.stable import check_caps, iter_answer_sets, reduce_world
 from credal.syntax import (Atom, Literal, ProbFact, Program, Query, Rule, Term,
                            const, var)
 from credal.wfs import IndexedProgram, ThreeValuedInterpretation, wfm
@@ -113,7 +113,7 @@ def enumerate_answer_sets(g: GroundProgram, max_undefined: int = 24) -> frozense
     check_caps(max_undefined=max_undefined)
     index = IndexedProgram(g)
     return frozenset(index.to_atoms(ids) for ids in
-                     iter_answer_sets(index, (), max_undefined, None, None))
+                     iter_answer_sets(reduce_world(index, (), max_undefined), None, None))
 
 
 # ---------------------------------------------------------------------------

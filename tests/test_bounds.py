@@ -7,7 +7,7 @@ from credal.bounds import (ProbabilityInterval, ProbFactLimitError, SolveTimeout
                            World, _count_leaf, credal_bounds_2amc,
                            credal_bounds_enumeration, solve_query, world_probability)
 from credal.ground import OlonError, ground_program
-from credal.stable import iter_answer_sets, query_witnesses
+from credal.stable import iter_answer_sets, query_witnesses, reduce_world
 from credal.syntax import (Atom, Literal, ProbFact, Program, Query, Rule, const,
                            parse_program, parse_query, render_program)
 
@@ -117,10 +117,10 @@ def test_world_solver_matches_fresh_grounding(corpus200, even_loop_corpus):
             fact_ids = [i for i, sel in zip(solver.fact_ids, world.selection) if sel]
             answer_sets = frozenset(
                 solver.index.to_atoms(ids)
-                for ids in iter_answer_sets(solver.index, fact_ids, 24, None, None))
+                for ids in iter_answer_sets(reduce_world(solver.index, fact_ids, 24), None, None))
             assert answer_sets == fresh
             for leaf in (_count_leaf, query_witnesses):
-                assert leaf(solver.index, fact_ids, query_id, 24, None, None) == \
+                assert leaf(reduce_world(solver.index, fact_ids, 24), query_id, None, None) == \
                     witness_pair(fresh, query.atom), (leaf.__name__, world)
 
 
@@ -266,6 +266,27 @@ def test_engines_differ_in_clock_reads(engine):
         assert reads <= 60
     else:
         assert reads >= 2048
+
+
+@pytest.mark.parametrize("engine", ["enum", "twoamc"])
+def test_worlds_that_reduce_alike_share_one_search(engine):
+    # nothing depends on g, so each world with f reduces to the program of
+    # the same world with g flipped: four worlds, two searches.  One enum
+    # search over the ten loops visits 2^11 - 1 nodes and reads the clock at
+    # each, so four searches would read it at least 4 * 2^11 - 4 times
+    program = parse_program("0.5::g.\n" + render_program(ten_even_loops()))
+    reads = 0
+
+    def clock():
+        nonlocal reads
+        reads += 1
+        return 0.0
+
+    interval, _ = solve_query(program, parse_query("q"), mode="direct",
+                              engine=engine, deadline=1e9, clock=clock)
+    assert (interval.lower, interval.upper) == (0.0, 0.5)
+    if engine == "enum":
+        assert reads < 3 * (2 ** 11 - 1)
 
 
 def test_timeout_inside_the_witness_search():

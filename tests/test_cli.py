@@ -47,7 +47,8 @@ def test_engine_choices_and_help_lines(command, capsys):
     assert exc.value.code == 0
     out = " ".join(capsys.readouterr().out.split())
     assert f"--engine {{{','.join(credal.bounds.ENGINES)}}}" in out
-    assert "enum counts every answer set (the reference)" in out
+    assert ("enum lists every answer set of each distinct reduced world program; "
+            "worlds that reduce alike share one result (the reference)") in out
     assert "twoamc looks for one witness per question" in out
 
 

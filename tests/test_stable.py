@@ -5,7 +5,7 @@ import pytest
 from credal.ground import GroundProgram, ground_program
 from credal.residual import encode_probabilistic_facts
 from credal.stable import (UndefinedAtomLimitError, iter_answer_sets,
-                           query_witnesses)
+                           query_witnesses, reduce_world)
 from credal.syntax import Atom, Program, Rule, parse_program, parse_query
 from credal.wfs import IndexedProgram, wfm
 
@@ -162,7 +162,7 @@ def test_even_ring_search_visits_few_nodes():
         return 0.0
 
     found = {index.to_atoms(ids) for ids in
-             iter_answer_sets(index, (), 24, 1.0, clock)}
+             iter_answer_sets(reduce_world(index, (), 24), 1.0, clock)}
     assert found == {frozenset(Atom(f"a{i}") for i in range(parity, 18, 2))
                      for parity in (0, 1)}
     assert reads <= 40
@@ -204,11 +204,11 @@ def test_search_equals_subset_filter_on_negation_heavy_programs():
         index = IndexedProgram(g)
         # a list, as the engines count answer sets: none may come twice
         answer_sets = [index.to_atoms(ids) for ids in
-                       iter_answer_sets(index, (), 10, None, None)]
+                       iter_answer_sets(reduce_world(index, (), 10), None, None)]
         assert len(set(answer_sets)) == len(answer_sets), g.rules
         assert set(answer_sets) == subsets_stable_models(g), g.rules
         for atom in g.herbrand_base:
-            assert query_witnesses(index, (), index.ids[atom], 10, None, None) == \
+            assert query_witnesses(reduce_world(index, (), 10), index.ids[atom], None, None) == \
                 witness_pair(answer_sets, atom), (atom, g.rules)
         several += len(answer_sets) > 1
         none += not answer_sets
@@ -226,7 +226,7 @@ def test_query_witnesses_on_decided_and_absent_queries(text, query, expected):
     g = ground_program(parse_program(text))
     index = IndexedProgram(g)
     atom = parse_query(query).atom
-    pair = query_witnesses(index, (), index.ids.get(atom), 10, None, None)
+    pair = query_witnesses(reduce_world(index, (), 10), index.ids.get(atom), None, None)
     assert pair == expected == witness_pair(subsets_stable_models(g), atom)
 
 

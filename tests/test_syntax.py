@@ -142,6 +142,7 @@ _EDGE_INPUTS = [
     "__not_a :- b.", "p(1.5).", "p( a , b ) .", "x!", "p(a) % tail\n.",
     "q(a)\n\n   r", "p(a)\u00e9", "p(a).q(b).", "p(a,)", "p()", "p(a)(b)",
     "0.5::", "0.5", "::a.", ":- a.", "a :- b :- c.", "p(12, 0) :- q(X, 3), r(X).",
+    "a :- b\nc. x!",
 ]
 
 _MUTATION_ALPHABET = ["(", ")", ",", ".", ":", "-", "\\", "+", "%", " ", "\t",
