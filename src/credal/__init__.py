@@ -5,9 +5,9 @@ part a ground query can reach through its well-founded reduct, and compute
 the query's lower/upper probability over all answer-set distributions.
 """
 
-from .bounds import (CredalUndefinedError, ProbabilityInterval,
-                     ProbFactLimitError, SolveTimeout, World, credal_bounds_2amc,
-                     credal_bounds_enumeration, solve_query, world_probability)
+from .bounds import (ProbabilityInterval, ProbFactLimitError, SolveTimeout, World,
+                     credal_bounds_2amc, credal_bounds_enumeration, solve_query,
+                     world_probability)
 from .ground import (CallGraph, DependencyGraph, GroundProgram, OlonError,
                      OlonWitness, build_call_graph, build_dependency_graph,
                      detect_olon, ground_program)

@@ -20,8 +20,7 @@ import zlib
 from dataclasses import dataclass
 
 from .bounds import (DEFAULT_MAX_PROB_FACTS, DEFAULT_MAX_UNDEFINED, MODES,
-                     CredalUndefinedError, ProbFactLimitError, SolveTimeout,
-                     select_engine)
+                     ProbFactLimitError, SolveTimeout, select_engine)
 from .ground import GroundProgram, OlonError, ground_program
 from .residual import extract_residual
 from .stable import UndefinedAtomLimitError, check_caps
@@ -289,8 +288,7 @@ def _bench_row(instance, mode, engine, solve, time_budget,
                              clock=clock)
         except SolveTimeout:
             status = "timeout"
-        except (ProbFactLimitError, UndefinedAtomLimitError,
-                CredalUndefinedError, OlonError):
+        except (ProbFactLimitError, UndefinedAtomLimitError, OlonError):
             status = "error"
     solve_ms = (clock() - t0) * 1000.0
 

@@ -9,13 +9,17 @@ omits it.  Worlds that reduce alike share one leaf result: the same rules on
 the same undefined atoms, with the query true in both well-founded models
 or in neither, give the same two bits.  The world's probability goes to the
 upper bound in the first case and to the lower bound unless the second
-holds; a world with no answer set makes the credal semantics undefined.
+holds.  Every world has an answer set, so the semantics is always defined:
+a finite ground program with no odd cycle through negation has one (Fages
+1994; Dung 1992), and the predicate call graph, checked for odd loops
+first, over-approximates every world's ground graph, as a world adds facts.
 The leaves differ in algorithm: ``enum`` (``credal_bounds_enumeration``, the
 counting reference and the engine the benchmark measures) lists every answer
 set of each distinct reduced world program through ``iter_answer_sets``;
 ``twoamc`` (``credal_bounds_2amc``) reads the two bits
 as the inner level of a two-level algebraic model count (Kiesel, Totis &
-Kimmig, KR 2022) off one witness search each, ``stable.query_witnesses``.
+Kimmig, KR 2022) off at most two witness searches, and none when the
+world's well-founded model decides the query (``stable.query_witnesses``).
 """
 
 from __future__ import annotations
@@ -43,15 +47,6 @@ class ProbFactLimitError(Exception):
             f"extract the residual program first or raise --max-prob-facts")
         self.count = count
         self.limit = limit
-
-
-class CredalUndefinedError(Exception):
-    """A world has no answer set, so the credal semantics is undefined."""
-
-    def __init__(self, world: "World", atoms):
-        names = ", ".join(str(a) for a in atoms) or "(empty)"
-        super().__init__(f"credal semantics undefined: world {names} has no answer set")
-        self.world = world
 
 
 @dataclass(frozen=True)
@@ -135,10 +130,6 @@ class _WorldSolver:
             if bits is None:
                 bits = leaves[key] = leaf(reduced, query_id, self.deadline, self.clock)
             contains, omits = bits
-            if not (contains or omits):
-                raise CredalUndefinedError(
-                    world, [pf.atom for pf, sel
-                            in zip(self.program.prob_facts, world.selection) if sel])
             p = world_probability(self.program, world)
             if not omits:
                 lower += p

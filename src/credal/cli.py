@@ -4,7 +4,7 @@ Subcommands: ``solve`` (credal bounds for a query), ``residual`` (print the
 query's reduced program), ``stats`` (tree-decomposition statistics), and
 ``bench`` (CSV benchmark sweep).  Exit codes: 0 success, 1 usage or I/O
 problem, 2 semantic failure (bad program text, odd loop over negation,
-undefined credal semantics, cap exceeded).
+cap exceeded, time budget exceeded).
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from .bounds import (DEFAULT_MAX_PROB_FACTS, DEFAULT_MAX_UNDEFINED, ENGINES,
-                     MODES, CredalUndefinedError, ProbFactLimitError,
-                     SolveTimeout, solve_query)
+                     MODES, ProbFactLimitError, SolveTimeout, solve_query)
 from .ground import (OlonError, build_call_graph, build_dependency_graph, dot_call_graph,
                      dot_dependency_graph, ground_program)
 from .residual import extract_residual
@@ -213,7 +212,6 @@ _FAILURES = {
     OlonError: ("olon", 2),
     ProbFactLimitError: ("limit", 2),
     UndefinedAtomLimitError: ("limit", 2),
-    CredalUndefinedError: ("credal", 2),
     SolveTimeout: ("timeout", 2),
 }
 

@@ -23,12 +23,17 @@ undefined atoms, those atoms, and the WFM's true atoms, the ``base`` that
 every answer set of the world contains.  The answer sets of two worlds
 with the same rules and undefined atoms differ only in that base, so the
 world fold runs a leaf once per distinct reduced world program and worlds
-that reduce alike share its result.  Two leaves search one reduced world.
-``iter_answer_sets`` lists every answer set of it; ``query_witnesses`` asks
+that reduce alike share its result.  Two leaves search one reduced world,
+each compiling its rules once (``wfs.compile_rules``) for the whole search.
+``iter_answer_sets`` lists every answer set; ``query_witnesses`` asks
 whether some answer set contains the query and whether some omits it (brave
 and cautious reasoning; Gebser et al., *Answer Set Solving in Practice*,
-2012) by searching to a first answer set with the query assumed true, then
-false, or once if the WFM decides it.
+2012).  Every world has an answer set: a finite ground program with no odd
+cycle through negation has one (Fages 1994; Dung 1992), and a world adds
+facts, not edges, to the predicate call graph the engines check for odd
+loops.  So a query the WFM decides needs no search, and if no answer set
+contains the query some omits it: ``query_witnesses`` searches with the
+query assumed true and, only if that succeeds, assumed false.
 The pruning argument holds at any node, the root included, so assumptions
 prune only models that disagree with them and the search below them is
 complete; the stability check keeps every witness an answer set.
@@ -39,7 +44,7 @@ by reference counting (guarded by ``tests/test_memory.py``).
 
 from __future__ import annotations
 
-from .wfs import IndexedProgram, _wfm_ids, least_model, watch_list
+from .wfs import IndexedProgram, _wfm_ids, compile_rules, least_model
 
 
 class UndefinedAtomLimitError(Exception):
@@ -105,47 +110,47 @@ def iter_answer_sets(world, deadline: float | None, clock):
     a frozenset of atom ids, in a deterministic order.  The search checks ``clock()``
     against ``deadline`` (None for no budget) and raises ``SolveTimeout``."""
     rules, undef, base = world
-    yield from _search(rules, watch_list(rules, undef), undef, base, deadline, clock,
+    yield from _search(compile_rules(rules, undef), undef, base, deadline, clock,
                        frozenset(), frozenset(), frozenset())
 
 
 def query_witnesses(world, query_id, deadline: float | None, clock) -> tuple[bool, bool]:
     """(some answer set contains the atom ``query_id``, some omits it) for
-    the reduced world; ``query_id`` None is an atom outside the grounding.
-    Each search stops at its first answer set."""
+    the reduced world, which has an answer set (module docstring);
+    ``query_id`` None is an atom outside the grounding."""
     rules, undef, base = world
-    watch = watch_list(rules, undef)
+    if query_id not in undef:
+        return query_id in base, query_id not in base
+    compiled = compile_rules(rules, undef)
 
     def witness(yes, no):
-        return next(_search(rules, watch, undef, base, deadline, clock,
+        return next(_search(compiled, undef, base, deadline, clock,
                             yes, no, frozenset()), None) is not None
 
-    if query_id in undef:
-        query = frozenset((query_id,))
-        return witness(query, frozenset()), witness(frozenset(), query)
-    exists = witness(frozenset(), frozenset())
-    return exists and query_id in base, exists and query_id not in base
+    query = frozenset((query_id,))
+    contains = witness(query, frozenset())
+    return contains, not contains or witness(frozenset(), query)
 
 
-def _search(rules, watch, undef, base, deadline, clock, yes, no, true):
+def _search(compiled, undef, base, deadline, clock, yes, no, true):
     """The search node assuming ``yes`` true and ``no`` false, below the
     lower bound ``true``; it yields ``base`` plus each answer set found."""
     if deadline is not None and clock() > deadline:
         raise SolveTimeout(f"time budget exceeded in the answer-set search "
                            f"over {len(undef)} undefined atoms")
-    poss = least_model(rules, watch, true | yes, ())
+    poss = least_model(compiled, true | yes, ())
     if not yes <= poss:
         return
-    true = least_model(rules, watch, poss - no, ())
+    true = least_model(compiled, poss - no, ())
     if not true.isdisjoint(no):
         return
     for a in undef:
         if a in poss and a not in true and a not in yes and a not in no:
-            yield from _search(rules, watch, undef, base, deadline, clock,
+            yield from _search(compiled, undef, base, deadline, clock,
                                yes | {a}, no, true)
-            yield from _search(rules, watch, undef, base, deadline, clock,
+            yield from _search(compiled, undef, base, deadline, clock,
                                yes, no | {a}, true)
             return
     model = true | yes
-    if least_model(rules, watch, model, ()) == model:
+    if least_model(compiled, model, ()) == model:
         yield base | model

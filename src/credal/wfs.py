@@ -8,7 +8,10 @@ by I.  Gamma is antimonotone, so alternating it from the empty set
 (Van Gelder 1993) grows an underestimate of the true atoms and shrinks an
 overestimate of the possibly-true ones until both stop moving: the first
 is the well-founded model's true set, and everything outside the second is
-its false set.  The stable-model search reuses the same kernel.
+its false set.  The stable-model search reuses the same kernel.  As in
+smodels, rules are compiled once per rule set (``compile_rules``, which
+``IndexedProgram`` runs when built); each call copies the counts with a
+slice and scans only the rules with an empty positive body.
 """
 
 from __future__ import annotations
@@ -34,23 +37,26 @@ class ThreeValuedInterpretation:
 
 
 # ---------------------------------------------------------------------------
-# indexed form shared with the stable-model module
+# compiled form shared with the stable-model module
 
-def watch_list(rules, atoms) -> dict[int, list[int]]:
-    """Atom -> indices of the rules with that atom in the positive body
-    (once per occurrence), for every atom in ``atoms``."""
+def compile_rules(rules, atoms):
+    """The ``(head, pos, neg)`` id rules over the ids ``atoms`` compiled for
+    ``least_model``: the rules, their positive-body sizes, the ``(head, neg)``
+    of those with an empty positive body, and the watch lists (atom -> the
+    rules with it in the positive body, once per occurrence)."""
     watch: dict[int, list[int]] = {a: [] for a in atoms}
     for ri, (_, pos, _) in enumerate(rules):
         for b in pos:
             watch[b].append(ri)
-    return watch
+    return (rules, [len(pos) for _, pos, _ in rules],
+            [(head, neg) for head, pos, neg in rules if not pos], watch)
 
 
 class IndexedProgram:
-    """Ground program with atoms interned to ints, for the least-model
-    kernel."""
+    """Ground program with atoms interned to ints, and its rules compiled
+    once for the least-model kernel."""
 
-    __slots__ = ("atoms", "ids", "rules", "watch")
+    __slots__ = ("atoms", "ids", "rules", "compiled")
 
     def __init__(self, g: GroundProgram):
         self.atoms: list[Atom] = sorted(g.herbrand_base, key=str)
@@ -62,25 +68,26 @@ class IndexedProgram:
              tuple(ids[l.atom] for l in r.body if l.negated))
             for r in g.rules
         ]
-        self.watch = watch_list(self.rules, range(len(self.atoms)))
+        self.compiled = compile_rules(self.rules, range(len(self.atoms)))
 
     def to_atoms(self, ids) -> frozenset[Atom]:
         return frozenset(self.atoms[i] for i in ids)
 
 
-def least_model(rules, watch, blocked, seeds) -> set[int]:
+def least_model(compiled, blocked, seeds) -> set[int]:
     """The seeds plus every head derivable from them by the rules whose
-    negative body misses ``blocked``.
+    negative body misses ``blocked``, in the ``compile_rules`` form
+    ``compiled``, whose atoms must include the seeds and every head.
 
     Each rule counts the positive body atoms not yet derived and fires when
     the count reaches zero, so every rule is looked at once per body atom:
-    linear in the size of the rules.  ``watch`` must map every atom that
-    can be derived (see ``watch_list``)."""
-    missing = [len(pos) for _, pos, _ in rules]
+    linear in the size of the rules."""
+    rules, sizes, bodiless, watch = compiled
+    missing = sizes[:]
     derived = set(seeds)
     queue = list(derived)
-    for head, pos, neg in rules:
-        if not pos and head not in derived and blocked.isdisjoint(neg):
+    for head, neg in bodiless:
+        if head not in derived and blocked.isdisjoint(neg):
             derived.add(head)
             queue.append(head)
     while queue:
@@ -99,8 +106,8 @@ def _wfm_ids(idx: IndexedProgram, facts) -> tuple[set[int], set[int]]:
     indexed program plus the atoms ``facts``."""
     true_ids: set[int] = set()
     while True:
-        possible = least_model(idx.rules, idx.watch, true_ids, facts)
-        new_true = least_model(idx.rules, idx.watch, possible, facts)
+        possible = least_model(idx.compiled, true_ids, facts)
+        new_true = least_model(idx.compiled, possible, facts)
         # the true sets only grow, so equal sizes mean a fixpoint
         if len(new_true) == len(true_ids):
             return true_ids, possible

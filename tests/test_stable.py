@@ -1,8 +1,9 @@
+import itertools
 import random
 
 import pytest
 
-from credal.ground import GroundProgram, ground_program
+from credal.ground import GroundProgram, build_call_graph, ground_program
 from credal.residual import encode_probabilistic_facts
 from credal.stable import (UndefinedAtomLimitError, iter_answer_sets,
                            query_witnesses, reduce_world)
@@ -10,10 +11,11 @@ from credal.syntax import Atom, Program, Rule, parse_program, parse_query
 from credal.wfs import IndexedProgram, wfm
 
 import programs
-from corpus import (dynamically_stratified, enumerate_answer_sets, gl_reduct,
-                    is_stable, least_model, project_answer_sets, random_pasp,
+from corpus import (derivable_ground, dynamically_stratified, enumerate_answer_sets,
+                    gl_reduct, has_odd_cycle, is_stable, least_model,
+                    project_answer_sets, random_olon_free_pasp, random_pasp,
                     subsets_stable_models, wfm_restricted_stable_models,
-                    witness_pair)
+                    with_even_loops, witness_pair)
 
 
 def world_ground(text, selected):
@@ -173,6 +175,29 @@ def test_odd_ring_has_no_answer_set(n):
     assert enumerate_answer_sets(ground_program(parse_program(ring(n)))) == frozenset()
 
 
+def test_every_world_of_an_odd_loop_free_program_has_an_answer_set():
+    # the engines rely on this theorem instead of checking each world (see
+    # the stable and bounds module docstrings); the subset filter shares no
+    # code with them.  Even loops give some worlds several answer sets.
+    rng = random.Random(2718)
+    checked = several = 0
+    for _ in range(80):
+        program = random_olon_free_pasp(rng)
+        for p in (program, with_even_loops(rng, program)[0]):
+            if has_odd_cycle(build_call_graph(p)):
+                continue
+            for selection in itertools.product((False, True), repeat=len(p.prob_facts)):
+                chosen = tuple(Rule(pf.atom) for pf, sel in zip(p.prob_facts, selection) if sel)
+                g = derivable_ground(Program((), p.rules + chosen))
+                if len(g.herbrand_base) > 9:  # 2^9 candidate sets at most
+                    continue
+                answer_sets = subsets_stable_models(g)
+                assert answer_sets, (p, selection)
+                checked += 1
+                several += len(answer_sets) > 1
+    assert checked >= 400 and several >= 50
+
+
 def negation_heavy_program(rng):
     """Up to 8 atoms and mostly rules ``a_i :- not a_j``, often mirrored
     into an even loop, some with a second negative or a positive literal,
@@ -207,7 +232,9 @@ def test_search_equals_subset_filter_on_negation_heavy_programs():
                        iter_answer_sets(reduce_world(index, (), 10), None, None)]
         assert len(set(answer_sets)) == len(answer_sets), g.rules
         assert set(answer_sets) == subsets_stable_models(g), g.rules
-        for atom in g.herbrand_base:
+        # query_witnesses relies on the world having an answer set, which
+        # holds for every program the engines accept (no odd loop)
+        for atom in g.herbrand_base if answer_sets else ():
             assert query_witnesses(reduce_world(index, (), 10), index.ids[atom], None, None) == \
                 witness_pair(answer_sets, atom), (atom, g.rules)
         several += len(answer_sets) > 1
@@ -220,7 +247,7 @@ def test_search_equals_subset_filter_on_negation_heavy_programs():
     ("t.\nf :- not t.\na :- not b.\nb :- not a.", "f", (False, True)),  # and f false
     ("a :- not b.\nb :- not a.", "zzz", (False, True)),  # outside the grounding
     ("a :- not b.\nb :- not a.", "a", (True, True)),
-    ("t.\np :- not p.", "t", (False, False)),  # true in the WFM, no answer set
+    ("a :- not b.\nb :- not a.\nq :- a, b.", "q", (False, True)),  # undefined, in none
 ])
 def test_query_witnesses_on_decided_and_absent_queries(text, query, expected):
     g = ground_program(parse_program(text))
@@ -228,6 +255,16 @@ def test_query_witnesses_on_decided_and_absent_queries(text, query, expected):
     atom = parse_query(query).atom
     pair = query_witnesses(reduce_world(index, (), 10), index.ids.get(atom), None, None)
     assert pair == expected == witness_pair(subsets_stable_models(g), atom)
+
+
+def test_query_witnesses_reads_a_decided_query_without_a_search():
+    # the clock is past the deadline, so any search would raise SolveTimeout
+    g = ground_program(parse_program("t.\nf :- not t.\na :- not b.\nb :- not a."))
+    index = IndexedProgram(g)
+    world = reduce_world(index, (), 10)
+    assert query_witnesses(world, index.ids[Atom("t")], 0.0, lambda: 1.0) == (True, False)
+    assert query_witnesses(world, index.ids[Atom("f")], 0.0, lambda: 1.0) == (False, True)
+    assert query_witnesses(world, None, 0.0, lambda: 1.0) == (False, True)
 
 
 def test_enumeration_equals_subset_filter_small(corpus200):

@@ -1,8 +1,12 @@
-from credal.ground import ground_program
-from credal.residual import encode_probabilistic_facts
-from credal.syntax import Atom, parse_program, parse_query
-from credal.wfs import ThreeValuedInterpretation, wf_reduct, wfm
+import random
 
+from credal.ground import GroundProgram, ground_program
+from credal.residual import encode_probabilistic_facts
+from credal.syntax import Atom, Literal, Rule, parse_program, parse_query
+from credal.wfs import (IndexedProgram, ThreeValuedInterpretation, least_model,
+                        wf_reduct, wfm)
+
+import corpus
 import programs
 from corpus import (EMPTY_INTERPRETATION, dynamically_stratified,
                     enumerate_answer_sets, gfp_of, is_fact, iterated_wfm, leq,
@@ -159,3 +163,38 @@ def test_wfm_of_reduct_keeps_undefined_set(corpus200):
 def test_inconsistent_interpretation_rejected():
     with pytest.raises(ValueError):
         ThreeValuedInterpretation(frozenset({Atom("a")}), frozenset({Atom("a")}))
+
+
+def random_ground_program(rng):
+    """Up to 8 atoms and 14 rules; bodies may be empty, purely negative or
+    repeat an atom, so the compiled form's empty-body list and per-occurrence
+    watch lists are both exercised."""
+    atoms = [Atom(f"a{i}") for i in range(rng.randint(1, 8))]
+    rules = []
+    for _ in range(rng.randint(1, 14)):
+        pos = [Literal(rng.choice(atoms)) for _ in range(rng.choice((0, 0, 1, 2, 3)))]
+        neg = [Literal(rng.choice(atoms), negated=True) for _ in range(rng.randint(0, 2))]
+        rules.append(Rule(rng.choice(atoms), tuple(pos + neg)))
+    return GroundProgram.from_rules(rules)
+
+
+def test_least_model_kernel_equals_least_model_of_the_reduct():
+    # the kernel with ``blocked`` switches off every rule with a negative
+    # literal on it: the Gelfond-Lifschitz reduct by ``blocked``, built here
+    # from the ground rules, plus the seeds as facts
+    rng = random.Random(1984)
+    for _ in range(500):
+        g = random_ground_program(rng)
+        index = IndexedProgram(g)
+        base = sorted(g.herbrand_base, key=str)
+        for _ in range(4):
+            blocked = frozenset(a for a in base if rng.random() < 0.4)
+            seeds = frozenset(a for a in base if rng.random() < 0.15)
+            reduct = GroundProgram.from_rules(
+                [Rule(r.head, tuple(l for l in r.body if not l.negated))
+                 for r in g.rules
+                 if not any(l.negated and l.atom in blocked for l in r.body)]
+                + [Rule(a) for a in seeds])
+            got = least_model(index.compiled, {index.ids[a] for a in blocked},
+                              [index.ids[a] for a in seeds])
+            assert index.to_atoms(got) == corpus.least_model(reduct), (g.rules, blocked, seeds)
