@@ -2,30 +2,36 @@
 
 Both engines run one fold, ``_WorldSolver.fold``.  It walks every world
 (one per subset of the probabilistic facts, in increasing bit-vector order
-with the first fact as the most significant bit, so sums are reproducible),
-reduces it by its well-founded model (``stable.reduce_world``) and asks the
-engine's leaf whether some answer set contains the query and whether some
-omits it.  Worlds that reduce alike share one leaf result: the same rules on
-the same undefined atoms, with the query true in both well-founded models
-or in neither, give the same two bits.  The world's probability goes to the
-upper bound in the first case and to the lower bound unless the second
-holds.  Every world has an answer set, so the semantics is always defined:
-a finite ground program with no odd cycle through negation has one (Fages
-1994; Dung 1992), and the predicate call graph, checked for odd loops
-first, over-approximates every world's ground graph, as a world adds facts.
-The leaves differ in algorithm: ``enum`` (``credal_bounds_enumeration``, the
-counting reference and the engine the benchmark measures) lists every answer
-set of each distinct reduced world program through ``iter_answer_sets``;
-``twoamc`` (``credal_bounds_2amc``) reads the two bits
-as the inner level of a two-level algebraic model count (Kiesel, Totis &
-Kimmig, KR 2022) off at most two witness searches, and none when the
-world's well-founded model decides the query (``stable.query_witnesses``).
+with the first fact as the most significant bit), reduces it by its
+well-founded model (``stable.reduce_world``) and asks the engine's leaf
+whether some answer set contains the query and whether some omits it.
+Worlds that reduce alike share one leaf result: the same rules on the same
+undefined atoms, with the query true in both well-founded models or in
+neither, give the same two bits.  The world's probability goes to the upper
+bound in the first case and to the lower bound unless the second holds.
+Each probability counts as the decimal it prints as, so world masses are
+integers that add exactly, and each bound is its exact sum rounded once,
+whatever the order of the facts or the worlds.  Every world has an answer
+set, so the semantics is always defined: a finite ground program with no
+odd cycle through negation has one (Fages 1994; Dung 1992), and the
+predicate call graph, checked for odd loops first, over-approximates every
+world's ground graph, as a world adds facts.  The leaves differ in
+algorithm: ``enum`` (``credal_bounds_enumeration``, the counting reference
+and the engine the benchmark measures) lists every answer set of each
+distinct reduced world program through ``iter_answer_sets``; ``twoamc``
+(``credal_bounds_2amc``) reads the two bits as the inner level of a
+two-level algebraic model count (Kiesel, Totis & Kimmig, KR 2022) off at
+most two witness searches, and none when the world's well-founded model
+decides the query (``stable.query_witnesses``).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 import time
 from dataclasses import dataclass
+from decimal import Decimal
 
 from . import stable
 from .ground import OlonError, build_call_graph, detect_olon, ground_program
@@ -50,42 +56,16 @@ class ProbFactLimitError(Exception):
 
 
 @dataclass(frozen=True)
-class World:
-    """One truth assignment to the probabilistic facts, aligned with the
-    program's fact order."""
-
-    selection: tuple[bool, ...]
-
-    @classmethod
-    def from_index(cls, index: int, n_facts: int) -> "World":
-        return cls(tuple(bool(index >> (n_facts - 1 - j) & 1) for j in range(n_facts)))
-
-
-@dataclass(frozen=True)
 class ProbabilityInterval:
     lower: float
     upper: float
 
     def __post_init__(self):
-        if not (-1e-9 <= self.lower <= self.upper + 1e-9 <= 1.0 + 2e-9):
+        if not 0 <= self.lower <= self.upper <= 1:
             raise ValueError(f"bad interval [{self.lower}, {self.upper}]")
 
     def __str__(self) -> str:
         return f"[{self.lower:.6f}, {self.upper:.6f}]"
-
-
-def _interval(lower: float, upper: float) -> ProbabilityInterval:
-    lower = min(max(lower, 0.0), 1.0)
-    upper = min(max(upper, 0.0), 1.0)
-    return ProbabilityInterval(lower, max(lower, upper))
-
-
-def world_probability(program: Program, world: World) -> float:
-    """Product of selected fact probabilities and deselected complements."""
-    p = 1.0
-    for pf, selected in zip(program.prob_facts, world.selection):
-        p *= pf.prob if selected else 1.0 - pf.prob
-    return p
 
 
 class _WorldSolver:
@@ -116,13 +96,15 @@ class _WorldSolver:
         reduced rules, the undefined atoms and whether the query is in the
         base, so worlds that agree on all three share one leaf call."""
         query_id = self.index.ids.get(self.query.atom)
-        lower = upper = 0.0
+        ratios = [Decimal(repr(pf.prob)).as_integer_ratio()
+                  for pf in self.program.prob_facts]
+        lower = upper = 0
         leaves: dict[tuple, tuple[bool, bool]] = {}
-        for index in range(1 << self.n):
+        worlds = itertools.product((False, True), repeat=self.n)
+        for index, selection in enumerate(worlds):
             if self.deadline is not None and self.clock() > self.deadline:
                 raise SolveTimeout(f"time budget exceeded at world {index} of {1 << self.n}")
-            world = World.from_index(index, self.n)
-            facts = [i for i, sel in zip(self.fact_ids, world.selection) if sel]
+            facts = [i for i, sel in zip(self.fact_ids, selection) if sel]
             reduced = stable.reduce_world(self.index, facts, self.max_undefined)
             rules, undef, base = reduced
             key = (rules, undef, query_id in base)
@@ -130,12 +112,15 @@ class _WorldSolver:
             if bits is None:
                 bits = leaves[key] = leaf(reduced, query_id, self.deadline, self.clock)
             contains, omits = bits
-            p = world_probability(self.program, world)
+            mass = 1
+            for (num, den), sel in zip(ratios, selection):
+                mass *= num if sel else den - num
             if not omits:
-                lower += p
+                lower += mass
             if contains:
-                upper += p
-        return _interval(lower, upper)
+                upper += mass
+        total = math.prod(den for _, den in ratios)
+        return ProbabilityInterval(lower / total, upper / total)
 
 
 def _count_leaf(world, query_id, deadline, clock):

@@ -140,7 +140,7 @@ def _cmd_solve(args) -> int:
     solve_ms = (time.perf_counter() - t0) * 1000.0
     print(f"# parse {parse_ms:.3f} ms", file=sys.stderr)
     print(f"# {args.mode}/{args.engine} solve {solve_ms:.3f} ms", file=sys.stderr)
-    print(f"P({query}) = [{interval.lower:.6f}, {interval.upper:.6f}]")
+    print(f"P({query}) = {interval}")
     return 0
 
 

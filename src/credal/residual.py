@@ -103,9 +103,10 @@ def extract_residual(program: Program, query: Query) -> ResidualProgram:
     model.  A query the model makes true reduces to the fact ``q.``, one it
     makes false to the empty program, whose grounding lacks the query atom;
     either way with a certain status.  Otherwise the well-founded reduct is
-    restricted to the rules whose head the query reaches, and surviving
-    loops are decoded back into probabilistic facts.  Solving the residual
-    gives the query the same bounds as solving the program.
+    restricted to the rules whose head the query reaches (every atom in a
+    reduct rule's body is undefined, so every reached atom is), and
+    surviving loops are decoded back into probabilistic facts.  Solving the
+    residual gives the query the same bounds as solving the program.
     """
     witness = detect_olon(build_call_graph(program))
     if witness is not None:
@@ -120,8 +121,6 @@ def extract_residual(program: Program, query: Query) -> ResidualProgram:
         return ResidualProgram(Program(), CERTAIN_FALSE)
 
     reduct = wf_reduct(g, model)
-    undefined = model.undefined_in(g.herbrand_base)
     keep = reachable_atoms(build_dependency_graph(reduct), query.atom)
-    restricted = GroundProgram.from_rules(
-        r for r in reduct.rules if r.head in keep and r.head in undefined)
+    restricted = GroundProgram.from_rules(r for r in reduct.rules if r.head in keep)
     return ResidualProgram(decode_probabilistic_facts(restricted, entries), UNDEFINED)

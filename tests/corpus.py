@@ -309,16 +309,13 @@ def derivable_ground(program: Program) -> GroundProgram:
 
 
 def gl_reduct(g: GroundProgram, interpretation: frozenset[Atom]) -> GroundProgram:
-    """Rules whose body holds in the interpretation, negative literals
-    removed; the result is a positive program."""
-    kept = []
-    for rule in g.rules:
-        pos = positive_body(rule)
-        neg = negative_body(rule)
-        if all(b in interpretation for b in pos) and \
-           not any(c in interpretation for c in neg):
-            kept.append(Rule(rule.head, tuple(Literal(b) for b in pos)))
-    return GroundProgram(tuple(sorted(set(kept), key=str)), g.herbrand_base)
+    """The Gelfond-Lifschitz reduct: the rules whose negative body misses
+    the interpretation, negative literals removed; the result is a positive
+    program."""
+    kept = {Rule(rule.head, tuple(Literal(b) for b in positive_body(rule)))
+            for rule in g.rules
+            if not any(c in interpretation for c in negative_body(rule))}
+    return GroundProgram(tuple(sorted(kept, key=str)), g.herbrand_base)
 
 
 def least_model(g: GroundProgram) -> frozenset[Atom]:
@@ -416,6 +413,17 @@ def wfm_restricted_stable_models(g: GroundProgram) -> frozenset:
     return frozenset(found)
 
 
+def world_weight(program: Program, selection) -> Fraction:
+    """The exact probability of one world: each fact's probability read as
+    the decimal it prints as, or its complement where the fact is not
+    selected."""
+    weight = Fraction(1)
+    for pf, sel in zip(program.prob_facts, selection):
+        p = Fraction(repr(pf.prob))
+        weight *= p if sel else 1 - p
+    return weight
+
+
 def oracle_bounds(program: Program, query: Query) -> tuple[Fraction, Fraction]:
     """Credal bounds straight from the definition, in exact arithmetic.
 
@@ -427,10 +435,7 @@ def oracle_bounds(program: Program, query: Query) -> tuple[Fraction, Fraction]:
     lower = upper = Fraction(0)
     facts = program.prob_facts
     for selection in itertools.product((False, True), repeat=len(facts)):
-        weight = Fraction(1)
-        for pf, sel in zip(facts, selection):
-            p = Fraction(pf.prob)
-            weight *= p if sel else 1 - p
+        weight = world_weight(program, selection)
         chosen = tuple(Rule(pf.atom) for pf, sel in zip(facts, selection) if sel)
         g = naive_ground(Program((), program.rules + chosen))
         model = iterated_wfm(g)[-1]

@@ -5,15 +5,15 @@ Each test prints a single ``ACCEPTANCE <n> PASS`` line (run pytest with
 """
 
 import importlib.util
+import itertools
 import time
 from pathlib import Path
 
 import pytest
 
 from credal.bench import run_benchmark
-from credal.bounds import (World, credal_bounds_2amc,
-                           credal_bounds_enumeration, solve_query,
-                           world_probability)
+from credal.bounds import (credal_bounds_2amc, credal_bounds_enumeration,
+                           solve_query)
 from credal.ground import build_call_graph, detect_olon, ground_program
 from credal.residual import (UNDEFINED, encode_probabilistic_facts,
                              extract_residual)
@@ -24,7 +24,8 @@ from credal.wfs import wf_reduct, wfm
 import programs
 from corpus import (canonical_program, dynamically_stratified,
                     enumerate_answer_sets, ground_rule_count, inner_count,
-                    project_answer_sets, random_pasp, subsets_stable_models)
+                    project_answer_sets, random_pasp, subsets_stable_models,
+                    world_weight)
 
 EX4 = parse_program(programs.PROB_EDGES_RECURSIVE)
 Q_PATH = parse_query("path(a,d)")
@@ -45,11 +46,10 @@ def test_criterion_01_world_table():
     # with zero answer sets would make the credal semantics undefined and
     # the bounds of this program could not come out as [0, 0.03].
     expected_counts = programs.WORLD_COUNTS
-    for index in range(2 ** n):
-        world = World.from_index(index, n)
-        assert world_probability(EX4, world) == pytest.approx(
-            expected_probs[index], abs=1e-9)
-        chosen = tuple(Rule(a) for a, sel in zip(facts, world.selection) if sel)
+    worlds = itertools.product((False, True), repeat=n)
+    for index, selection in enumerate(worlds):
+        assert float(world_weight(EX4, selection)) == expected_probs[index]
+        chosen = tuple(Rule(a) for a, sel in zip(facts, selection) if sel)
         answer_sets = enumerate_answer_sets(
             ground_program(Program((), EX4.rules + chosen)))
         assert inner_count(answer_sets, Q_PATH) == expected_counts[index]

@@ -36,16 +36,16 @@ def test_gl_reduct_even_loop():
 def test_gl_reduct_negation_free():
     g = ground_program(parse_program("a.\nb :- a.\nc :- d."))
     reduct = gl_reduct(g, frozenset({Atom("a"), Atom("b")}))
-    assert set(reduct.rules) == set(parse_program("a.\nb :- a.").rules)
+    assert set(reduct.rules) == set(parse_program("a.\nb :- a.\nc :- d.").rules)
 
 
 def test_gl_reduct_odd_loop_empty_interpretation():
-    # the reduct keeps only rules whose whole body holds in I, so for the
-    # empty interpretation the positive-body rules go too
+    # the reduct drops a rule only when its negative body meets I, so the
+    # empty interpretation keeps every rule, and its least model is not I
     g = ground_program(parse_program(programs.OLON_LOOP))
     reduct = gl_reduct(g, frozenset())
-    assert set(reduct.rules) == set(parse_program("q.").rules)
-    assert least_model(reduct) == {Atom("q")} != frozenset()
+    assert set(reduct.rules) == set(parse_program("p :- q.\nq.\nr :- p.").rules)
+    assert least_model(reduct) == {Atom("p"), Atom("q"), Atom("r")}
 
 
 def test_least_model():
