@@ -20,7 +20,11 @@ takes 27 nodes.  Answer sets are frozensets of the atom ids of an
 
 ``reduce_world`` turns one world into the search's input: its rules on the
 undefined atoms, those atoms, and the WFM's true atoms, the ``base`` that
-every answer set of the world contains.  The answer sets of two worlds
+every answer set of the world contains.  It makes one pass over the
+indexed rules: a rule whose head the world decides goes, as does one with
+a positive body atom outside the possibly-true set or a negative one in
+the true set, and the rest keep only their undefined body atoms, so the
+triple keeps the index's rule and body order.  The answer sets of two worlds
 with the same rules and undefined atoms differ only in that base, so the
 world fold runs a leaf once per distinct reduced world program and worlds
 that reduce alike share its result.  Two leaves search one reduced world,
@@ -70,20 +74,6 @@ def check_caps(**caps: int) -> None:
             raise ValueError(f"{name} must be at least 0, got {value}")
 
 
-def _evaluate_decided(rules, val):
-    """The rules with every literal that ``val`` decides evaluated away: a
-    rule with a false positive or a true negative literal goes, and true
-    positive and false negative literals leave the body.  ``val`` holds
-    True, False or None (undecided) per atom id."""
-    out = []
-    for head, pos, neg in rules:
-        if any(val[b] is False for b in pos) or any(val[c] is True for c in neg):
-            continue
-        out.append((head, tuple(b for b in pos if val[b] is None),
-                    tuple(c for c in neg if val[c] is None)))
-    return tuple(out)
-
-
 def reduce_world(index: IndexedProgram, facts, max_undefined: int):
     """The world of the indexed program plus the atom ids ``facts``, reduced
     by its well-founded model: ``(rules, undef, base)``, the rules on the
@@ -92,17 +82,16 @@ def reduce_world(index: IndexedProgram, facts, max_undefined: int):
     ``UndefinedAtomLimitError`` when more than ``max_undefined`` atoms are
     undefined."""
     true_ids, possible = _wfm_ids(index, facts)
-    undef = tuple(sorted(possible - true_ids))
-    if len(undef) > max_undefined:
-        raise UndefinedAtomLimitError(len(undef), max_undefined)
-
-    val: list[bool | None] = [False] * len(index.atoms)
-    for i in true_ids:
-        val[i] = True
-    for i in undef:
-        val[i] = None
-    rules = _evaluate_decided([r for r in index.rules if val[r[0]] is None], val)
-    return rules, undef, frozenset(true_ids)
+    undefined = possible - true_ids
+    if len(undefined) > max_undefined:
+        raise UndefinedAtomLimitError(len(undefined), max_undefined)
+    rules = []
+    for head, pos, neg in index.rules:
+        # a decided head, a false positive or a true negative literal drops it
+        if head in undefined and possible.issuperset(pos) and true_ids.isdisjoint(neg):
+            rules.append((head, tuple([b for b in pos if b in undefined]),
+                          tuple([c for c in neg if c in undefined])))
+    return tuple(rules), tuple(sorted(undefined)), frozenset(true_ids)
 
 
 def iter_answer_sets(world, deadline: float | None, clock):

@@ -8,10 +8,15 @@ by I.  Gamma is antimonotone, so alternating it from the empty set
 (Van Gelder 1993) grows an underestimate of the true atoms and shrinks an
 overestimate of the possibly-true ones until both stop moving: the first
 is the well-founded model's true set, and everything outside the second is
-its false set.  The stable-model search reuses the same kernel.  As in
-smodels, rules are compiled once per rule set (``compile_rules``, which
-``IndexedProgram`` runs when built); each call copies the counts with a
-slice and scans only the rules with an empty positive body.
+its false set.  Each true set is Gamma of the possibly-true set before it,
+and each possibly-true set is Gamma of the true set before it.  So once a
+possibly-true set repeats, or equals the true set, the next true set would
+be the current one, and the alternation stops without the least-model call
+that would only confirm it.  The stable-model search reuses the same
+kernel.  As in smodels, rules are compiled once per rule set
+(``compile_rules``, which ``IndexedProgram`` runs when built); each call
+copies the counts with a slice and scans only the rules with an empty
+positive body.
 """
 
 from __future__ import annotations
@@ -105,13 +110,14 @@ def _wfm_ids(idx: IndexedProgram, facts) -> tuple[set[int], set[int]]:
     """(true, possibly true) atom ids of the well-founded model of the
     indexed program plus the atoms ``facts``."""
     true_ids: set[int] = set()
+    size = -1
     while True:
         possible = least_model(idx.compiled, true_ids, facts)
-        new_true = least_model(idx.compiled, possible, facts)
-        # the true sets only grow, so equal sizes mean a fixpoint
-        if len(new_true) == len(true_ids):
+        # Gamma(possible) is true_ids when possible repeats or equals it
+        if len(possible) in (size, len(true_ids)):
             return true_ids, possible
-        true_ids = new_true
+        size = len(possible)
+        true_ids = least_model(idx.compiled, possible, facts)
 
 
 def wfm(g: GroundProgram) -> ThreeValuedInterpretation:

@@ -388,6 +388,25 @@ def iterated_wfm(g: GroundProgram) -> list[ThreeValuedInterpretation]:
             return stages
 
 
+def reduced_world(g: GroundProgram, chosen) -> tuple:
+    """The world of ``g`` plus a rule ``f.`` per atom ``f`` of ``chosen``,
+    reduced by the last model of ``iterated_wfm`` over ``Atom`` rules:
+    ``(rules, undefined, true)``, the ``(head, pos, neg)`` rules whose head
+    is undefined and whose body has no false literal, in the world's rule
+    order, each body keeping only its undefined atoms in their order."""
+    world = GroundProgram(g.rules + tuple(Rule(f) for f in chosen), g.herbrand_base)
+    model = iterated_wfm(world)[-1]
+    undefined = g.herbrand_base - model.true_set - model.false_set
+    rules = [(rule.head,
+              tuple(b for b in positive_body(rule) if b in undefined),
+              tuple(c for c in negative_body(rule) if c in undefined))
+             for rule in world.rules
+             if rule.head in undefined
+             and not any(b in model.false_set for b in positive_body(rule))
+             and not any(c in model.true_set for c in negative_body(rule))]
+    return rules, undefined, model.true_set
+
+
 def subsets_stable_models(g: GroundProgram) -> frozenset:
     """Every subset of the atom base, filtered through the reduct check."""
     atoms = sorted(g.herbrand_base, key=str)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from credal.ground import GroundProgram, build_call_graph, ground_program
-from credal.residual import encode_probabilistic_facts
+from credal.residual import encode_probabilistic_facts, extract_residual
 from credal.stable import (UndefinedAtomLimitError, iter_answer_sets,
                            query_witnesses, reduce_world)
 from credal.syntax import Atom, Program, Rule, parse_program, parse_query
@@ -14,7 +14,7 @@ import programs
 from corpus import (derivable_ground, dynamically_stratified, enumerate_answer_sets,
                     gl_reduct, has_odd_cycle, is_stable, least_model,
                     project_answer_sets, random_olon_free_pasp, random_pasp,
-                    subsets_stable_models, wfm_restricted_stable_models,
+                    reduced_world, subsets_stable_models, wfm_restricted_stable_models,
                     with_even_loops, witness_pair)
 
 
@@ -265,6 +265,32 @@ def test_query_witnesses_reads_a_decided_query_without_a_search():
     assert query_witnesses(world, index.ids[Atom("t")], 0.0, lambda: 1.0) == (True, False)
     assert query_witnesses(world, index.ids[Atom("f")], 0.0, lambda: 1.0) == (False, True)
     assert query_witnesses(world, None, 0.0, lambda: 1.0) == (False, True)
+
+
+def test_reduce_world_equals_atom_level_reference(corpus200, even_loop_corpus):
+    # every world of each program and of its residual, with the facts as
+    # seeds of the well-founded model: the same rules in the same order,
+    # the same undefined atoms and the same true atoms as the reference
+    checked = 0
+    for program, query in corpus200 + even_loop_corpus:
+        if len(program.prob_facts) > 6:
+            continue
+        for target in (program, extract_residual(program, query).program):
+            g = ground_program(target)
+            index = IndexedProgram(g)
+            ids = index.ids
+            facts = [pf.atom for pf in target.prob_facts]
+            for selection in itertools.product((False, True), repeat=len(facts)):
+                chosen = [f for f, sel in zip(facts, selection) if sel]
+                rules, undefined, true = reduced_world(g, chosen)
+                expected = (
+                    tuple((ids[h], tuple(ids[b] for b in pos), tuple(ids[c] for c in neg))
+                          for h, pos, neg in rules),
+                    tuple(sorted(ids[a] for a in undefined)),
+                    frozenset(ids[a] for a in true))
+                assert reduce_world(index, [ids[f] for f in chosen], len(ids)) == expected
+                checked += 1
+    assert checked > 2000
 
 
 def test_enumeration_equals_subset_filter_small(corpus200):
