@@ -5,8 +5,7 @@ part a ground query can reach through its well-founded reduct, and compute
 the query's lower/upper probability over all answer-set distributions.
 """
 
-from .bounds import (ProbabilityInterval, ProbFactLimitError, SolveTimeout,
-                     credal_bounds_2amc, credal_bounds_enumeration, solve_query)
+from .bounds import ProbabilityInterval, ProbFactLimitError, SolveTimeout, solve_query
 from .ground import (CallGraph, DependencyGraph, GroundProgram, OlonError,
                      OlonWitness, build_call_graph, build_dependency_graph,
                      detect_olon, ground_program)

@@ -1,6 +1,6 @@
 """Credal probability bounds for a ground query.
 
-Both engines run one fold, ``_WorldSolver.fold``.  It walks every world
+Both engines of ``ENGINES`` run one fold, ``_fold``.  It walks every world
 (one per subset of the probabilistic facts, in increasing bit-vector order
 with the first fact as the most significant bit), reduces it by its
 well-founded model (``stable.reduce_world``) and asks the engine's leaf
@@ -16,17 +16,17 @@ set, so the semantics is always defined: a finite ground program with no
 odd cycle through negation has one (Fages 1994; Dung 1992), and the
 predicate call graph, checked for odd loops first, over-approximates every
 world's ground graph, as a world adds facts.  The leaves differ in
-algorithm: ``enum`` (``credal_bounds_enumeration``, the counting reference
-and the engine the benchmark measures) lists every answer set of each
-distinct reduced world program through ``iter_answer_sets``; ``twoamc``
-(``credal_bounds_2amc``) reads the two bits as the inner level of a
-two-level algebraic model count (Kiesel, Totis & Kimmig, KR 2022) off at
-most two witness searches, and none when the world's well-founded model
-decides the query (``stable.query_witnesses``).
+algorithm: ``enum`` (the counting reference and the engine the benchmark
+measures) lists every answer set of each distinct reduced world program
+through ``iter_answer_sets``; ``twoamc`` reads the two bits as the inner
+level of a two-level algebraic model count (Kiesel, Totis & Kimmig, KR
+2022) off at most two witness searches, and none when the world's
+well-founded model decides the query (``stable.query_witnesses``).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -68,59 +68,47 @@ class ProbabilityInterval:
         return f"[{self.lower:.6f}, {self.upper:.6f}]"
 
 
-class _WorldSolver:
-    """The world fold both engines share: one grounding, with the facts as
-    open atoms, indexed once; per world the selected fact atoms and the
-    query's atom id go to the engine's leaf."""
-
-    def __init__(self, program: Program, query: Query,
-                 max_prob_facts: int, max_undefined: int,
-                 deadline: float | None, clock):
-        check_caps(max_prob_facts=max_prob_facts, max_undefined=max_undefined)
-        if len(program.prob_facts) > max_prob_facts:
-            raise ProbFactLimitError(len(program.prob_facts), max_prob_facts)
-        witness = detect_olon(build_call_graph(program))
-        if witness is not None:
-            raise OlonError(witness)
-        self.program, self.query = program, query
-        self.max_undefined, self.deadline, self.clock = max_undefined, deadline, clock
-        self.index = stable.IndexedProgram(ground_program(program))
-        self.fact_ids = [self.index.ids[pf.atom] for pf in program.prob_facts]
-        self.n = len(program.prob_facts)
-
-    def fold(self, leaf) -> ProbabilityInterval:
-        """The bounds from ``leaf(world, query_id, deadline, clock)``: per
-        world, (some answer set contains the query, some omits it), where
-        ``world`` is the world's ``stable.reduce_world`` and ``query_id`` is
-        None outside the grounding.  Those two bits depend only on the
-        reduced rules, the undefined atoms and whether the query is in the
-        base, so worlds that agree on all three share one leaf call."""
-        query_id = self.index.ids.get(self.query.atom)
-        ratios = [Decimal(repr(pf.prob)).as_integer_ratio()
-                  for pf in self.program.prob_facts]
-        lower = upper = 0
-        leaves: dict[tuple, tuple[bool, bool]] = {}
-        worlds = itertools.product((False, True), repeat=self.n)
-        for index, selection in enumerate(worlds):
-            if self.deadline is not None and self.clock() > self.deadline:
-                raise SolveTimeout(f"time budget exceeded at world {index} of {1 << self.n}")
-            facts = [i for i, sel in zip(self.fact_ids, selection) if sel]
-            reduced = stable.reduce_world(self.index, facts, self.max_undefined)
-            rules, undef, base = reduced
-            key = (rules, undef, query_id in base)
-            bits = leaves.get(key)
-            if bits is None:
-                bits = leaves[key] = leaf(reduced, query_id, self.deadline, self.clock)
-            contains, omits = bits
-            mass = 1
-            for (num, den), sel in zip(ratios, selection):
-                mass *= num if sel else den - num
-            if not omits:
-                lower += mass
-            if contains:
-                upper += mass
-        total = math.prod(den for _, den in ratios)
-        return ProbabilityInterval(lower / total, upper / total)
+def _fold(program: Program, query: Query, leaf, *, max_prob_facts: int,
+          max_undefined: int, deadline: float | None, clock) -> ProbabilityInterval:
+    """The bounds from ``leaf(world, query_id, deadline, clock)``: per world,
+    (some answer set contains the query, some omits it), where ``world`` is
+    the world's ``stable.reduce_world`` and ``query_id`` is None outside the
+    grounding.  The program is grounded once, with the facts as open atoms,
+    and indexed once.  Those two bits depend only on the reduced rules, the
+    undefined atoms and whether the query is in the base, so worlds that
+    agree on all three share one leaf call."""
+    n = len(program.prob_facts)
+    if n > max_prob_facts:
+        raise ProbFactLimitError(n, max_prob_facts)
+    witness = detect_olon(build_call_graph(program))
+    if witness is not None:
+        raise OlonError(witness)
+    index = stable.IndexedProgram(ground_program(program))
+    fact_ids = [index.ids[pf.atom] for pf in program.prob_facts]
+    query_id = index.ids.get(query.atom)
+    ratios = [Decimal(repr(pf.prob)).as_integer_ratio() for pf in program.prob_facts]
+    lower = upper = 0
+    leaves: dict[tuple, tuple[bool, bool]] = {}
+    for i, selection in enumerate(itertools.product((False, True), repeat=n)):
+        if deadline is not None and clock() > deadline:
+            raise SolveTimeout(f"time budget exceeded at world {i} of {1 << n}")
+        facts = [f for f, sel in zip(fact_ids, selection) if sel]
+        reduced = stable.reduce_world(index, facts, max_undefined)
+        rules, undef, base = reduced
+        key = (rules, undef, query_id in base)
+        bits = leaves.get(key)
+        if bits is None:
+            bits = leaves[key] = leaf(reduced, query_id, deadline, clock)
+        contains, omits = bits
+        mass = 1
+        for (num, den), sel in zip(ratios, selection):
+            mass *= num if sel else den - num
+        if not omits:
+            lower += mass
+        if contains:
+            upper += mass
+    total = math.prod(den for _, den in ratios)
+    return ProbabilityInterval(lower / total, upper / total)
 
 
 def _count_leaf(world, query_id, deadline, clock):
@@ -134,28 +122,11 @@ def _count_leaf(world, query_id, deadline, clock):
     return contains, omits
 
 
-def credal_bounds_enumeration(program: Program, query: Query, *,
-                              max_prob_facts: int = DEFAULT_MAX_PROB_FACTS,
-                              max_undefined: int = DEFAULT_MAX_UNDEFINED,
-                              deadline: float | None = None,
-                              clock=time.perf_counter) -> ProbabilityInterval:
-    """Lower/upper query probability, counting every world's answer sets."""
-    return _WorldSolver(program, query, max_prob_facts, max_undefined,
-                        deadline, clock).fold(_count_leaf)
-
-
-def credal_bounds_2amc(program: Program, query: Query, *,
-                       max_prob_facts: int = DEFAULT_MAX_PROB_FACTS,
-                       max_undefined: int = DEFAULT_MAX_UNDEFINED,
-                       deadline: float | None = None,
-                       clock=time.perf_counter) -> ProbabilityInterval:
-    """The same bounds, searching each world for one answer set with the
-    query and one without it."""
-    return _WorldSolver(program, query, max_prob_facts, max_undefined,
-                        deadline, clock).fold(stable.query_witnesses)
-
-
-ENGINES = {"enum": credal_bounds_enumeration, "twoamc": credal_bounds_2amc}
+# Each engine is ``(program, query, *, max_prob_facts, max_undefined,
+# deadline, clock) -> ProbabilityInterval``, with its caps checked by the
+# caller; the two differ only in the leaf.
+ENGINES = {"enum": functools.partial(_fold, leaf=_count_leaf),
+           "twoamc": functools.partial(_fold, leaf=stable.query_witnesses)}
 
 
 def select_engine(name: str):

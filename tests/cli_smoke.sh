@@ -82,3 +82,24 @@ test "$(wc -l < "$work/err.txt")" = 1
 grep -q '^error\[io\]: .*not_utf8\.pasp: ' "$work/err.txt"
 # a leading byte-order mark is skipped
 "${credal[@]}" solve "$data/bom.pasp" --query q
+# the README's own examples, read from the README so that they cannot drift:
+# its reachability program as reach.pasp, its Library block run beside it,
+# and its `credal solve` line, which must print the line the README shows
+readme="$(cd "$(dirname "$0")/.." && pwd)/README.md"
+fenced_after() {  # the first fenced block after the line that starts with $1
+  awk -v anchor="$1" 'found && /^```/ {if (inside) exit; inside = 1; next}
+                      inside {print}
+                      index($0, anchor) == 1 {found = 1}' "$readme"
+}
+mkdir "$work/readme"
+fenced_after 'Example, a probabilistic reachability program:' > "$work/readme/reach.pasp"
+fenced_after '## Library' > "$work/readme/library.py"
+test -s "$work/readme/reach.pasp" && test -s "$work/readme/library.py"
+# the interpreter changes directory after start-up, so a relative PYTHON or
+# PYTHONPATH still finds the package
+"${python[@]}" -c 'import os, sys; os.chdir(sys.argv[1]); exec(open("library.py").read())' \
+  "$work/readme" > "$work/readme/library.txt"
+printf '%s\n' '0.0 0.03' "undefined ['e(a,b)', 'e(b,d)']" | diff - "$work/readme/library.txt"
+shown="$(grep -A1 -Fx "\$ credal solve reach.pasp --query 'path(a,d)'" "$readme" | sed -n 2p)"
+test "$shown" = 'P(path(a,d)) = [0.000000, 0.030000]'
+"${credal[@]}" solve "$work/readme/reach.pasp" --query 'path(a,d)' | diff - <(printf '%s\n' "$shown")

@@ -12,8 +12,7 @@ from pathlib import Path
 import pytest
 
 from credal.bench import run_benchmark
-from credal.bounds import (credal_bounds_2amc, credal_bounds_enumeration,
-                           solve_query)
+from credal.bounds import solve_query
 from credal.ground import build_call_graph, detect_olon, ground_program
 from credal.residual import (UNDEFINED, encode_probabilistic_facts,
                              extract_residual)
@@ -115,8 +114,8 @@ def test_criterion_05_olon_and_stable_models():
 def test_criterion_06_residual_and_engine_agreement(corpus200, even_loop_corpus):
     started = time.perf_counter()
     for program, query in corpus200 + even_loop_corpus:
-        direct_enum = credal_bounds_enumeration(program, query)
-        direct_2amc = credal_bounds_2amc(program, query)
+        direct_enum, _ = solve_query(program, query, mode="direct", engine="enum")
+        direct_2amc, _ = solve_query(program, query, mode="direct", engine="twoamc")
         assert direct_enum.lower == pytest.approx(direct_2amc.lower, abs=1e-12)
         assert direct_enum.upper == pytest.approx(direct_2amc.upper, abs=1e-12)
         for engine in ("enum", "twoamc"):

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from credal.bounds import (ProbabilityInterval, ProbFactLimitError, SolveTimeout,
-                           _count_leaf, credal_bounds_2amc,
-                           credal_bounds_enumeration, solve_query)
+                           _count_leaf, solve_query)
 from credal.ground import OlonError, ground_program
-from credal.stable import iter_answer_sets, query_witnesses, reduce_world
+from credal.stable import (IndexedProgram, iter_answer_sets, query_witnesses,
+                           reduce_world)
 from credal.syntax import (Atom, Literal, ProbFact, Program, Query, Rule, const,
                            parse_program, parse_query, render_program)
 
@@ -46,8 +46,8 @@ def test_inner_count_neutral_element():
 
 
 def test_bounds_prob_edges_all_engines_and_modes():
-    for engine in (credal_bounds_enumeration, credal_bounds_2amc):
-        interval = engine(EX4, Q_PATH)
+    for engine in ("enum", "twoamc"):
+        interval, _ = solve_query(EX4, Q_PATH, mode="direct", engine=engine)
         assert interval.lower == pytest.approx(0.0, abs=1e-9)
         assert interval.upper == pytest.approx(0.03, abs=1e-9)
     for mode in ("direct", "residual"):
@@ -60,66 +60,65 @@ def test_bounds_prob_edges_all_engines_and_modes():
 def test_bounds_single_fact():
     p = parse_program("0.3::q.")
     q = parse_query("q")
-    interval = credal_bounds_enumeration(p, q)
+    interval, _ = solve_query(p, q, mode="direct", engine="enum")
     assert interval.lower == pytest.approx(0.3, abs=1e-12)
     assert interval.upper == pytest.approx(0.3, abs=1e-12)
 
 
 def test_bounds_independent_even_loop():
     p = parse_program("0.4::a.\nq :- not nq.\nnq :- not q.")
-    interval = credal_bounds_enumeration(p, parse_query("q"))
+    interval, _ = solve_query(p, parse_query("q"), mode="direct", engine="enum")
     assert (interval.lower, interval.upper) == (0.0, 1.0)
 
 
 def test_bounds_plain_fact_query():
     p = parse_program("q.\n0.5::a.")
-    for engine in (credal_bounds_enumeration, credal_bounds_2amc):
-        interval = engine(p, parse_query("q"))
+    for engine in ("enum", "twoamc"):
+        interval, _ = solve_query(p, parse_query("q"), mode="direct", engine=engine)
         assert (interval.lower, interval.upper) == (1.0, 1.0)
 
 
 def test_bounds_absent_query_atom():
     p = parse_program("0.5::a.")
-    interval = credal_bounds_enumeration(p, parse_query("zzz"))
+    interval, _ = solve_query(p, parse_query("zzz"), mode="direct", engine="enum")
     assert (interval.lower, interval.upper) == (0.0, 0.0)
 
 
 def test_bounds_query_on_prob_fact_atom():
     p = parse_program("0.25::a.\nq :- a.")
-    for engine in (credal_bounds_enumeration, credal_bounds_2amc):
-        interval = engine(p, parse_query("a"))
+    for engine in ("enum", "twoamc"):
+        interval, _ = solve_query(p, parse_query("a"), mode="direct", engine=engine)
         assert interval.lower == pytest.approx(0.25, abs=1e-12)
         assert interval.upper == pytest.approx(0.25, abs=1e-12)
 
 
 def test_world_solver_matches_fresh_grounding(corpus200, even_loop_corpus):
-    # the engines ground once with every fact present and re-attach selected
-    # facts per world; that must agree with grounding each world from scratch
-    from credal.bounds import _WorldSolver
-
+    # the engines ground once with every fact as an open atom and select the
+    # world's facts by atom id; that must agree with grounding each world
+    # from scratch
     for program, query in corpus200[:40] + even_loop_corpus[:40]:
-        solver = _WorldSolver(program, query, max_prob_facts=25,
-                              max_undefined=24, deadline=None, clock=None)
+        index = IndexedProgram(ground_program(program))
         facts = [pf.atom for pf in program.prob_facts]
-        query_id = solver.index.ids.get(query.atom)
+        ids = [index.ids[a] for a in facts]
+        query_id = index.ids.get(query.atom)
         for selection in worlds(program):
             chosen = tuple(Rule(a) for a, sel in zip(facts, selection) if sel)
             fresh = enumerate_answer_sets(
                 ground_program(Program((), program.rules + chosen)))
-            fact_ids = [i for i, sel in zip(solver.fact_ids, selection) if sel]
+            fact_ids = [i for i, sel in zip(ids, selection) if sel]
             answer_sets = frozenset(
-                solver.index.to_atoms(ids)
-                for ids in iter_answer_sets(reduce_world(solver.index, fact_ids, 24), None, None))
+                index.to_atoms(answer_set)
+                for answer_set in iter_answer_sets(reduce_world(index, fact_ids, 24), None, None))
             assert answer_sets == fresh
             for leaf in (_count_leaf, query_witnesses):
-                assert leaf(reduce_world(solver.index, fact_ids, 24), query_id, None, None) == \
+                assert leaf(reduce_world(index, fact_ids, 24), query_id, None, None) == \
                     witness_pair(fresh, query.atom), (leaf.__name__, selection)
 
 
 def test_engines_agree_on_corpus(corpus200, even_loop_corpus):
     for program, query in corpus200 + even_loop_corpus:
-        a = credal_bounds_enumeration(program, query)
-        b = credal_bounds_2amc(program, query)
+        a, _ = solve_query(program, query, mode="direct", engine="enum")
+        b, _ = solve_query(program, query, mode="direct", engine="twoamc")
         assert repr(a) == repr(b)
 
 
@@ -144,7 +143,7 @@ def test_point_interval_when_every_world_stratified(corpus200):
         if not stratified:
             continue
         checked += 1
-        interval = credal_bounds_enumeration(program, query)
+        interval, _ = solve_query(program, query, mode="direct", engine="enum")
         assert interval.lower == pytest.approx(interval.upper, abs=1e-12)
     assert checked >= 10
 
@@ -153,14 +152,15 @@ def test_prob_fact_cap():
     text = "\n".join(f"0.5::g{i}(a)." for i in range(6))
     p = parse_program(text)
     with pytest.raises(ProbFactLimitError, match="residual"):
-        credal_bounds_enumeration(p, parse_query("g0(a)"), max_prob_facts=5)
-    interval = credal_bounds_enumeration(p, parse_query("g0(a)"),
-                                         max_prob_facts=6)
+        solve_query(p, parse_query("g0(a)"), mode="direct", engine="enum",
+                    max_prob_facts=5)
+    interval, _ = solve_query(p, parse_query("g0(a)"), mode="direct", engine="enum",
+                              max_prob_facts=6)
     assert interval.lower == pytest.approx(0.5)
     # the default cap admits 25 facts and refuses 26
     many = parse_program("\n".join(f"0.5::g{i}(a)." for i in range(26)))
     with pytest.raises(ProbFactLimitError) as exc:
-        credal_bounds_enumeration(many, parse_query("g0(a)"))
+        solve_query(many, parse_query("g0(a)"), mode="direct", engine="enum")
     assert exc.value.count == 26 and exc.value.limit == 25
 
 
@@ -184,18 +184,10 @@ def test_solve_query_refuses_unknown_engine_before_any_work():
             solve_query(olon, parse_query("p"), mode=mode, engine="foo")
 
 
-@pytest.mark.parametrize("cap", ["max_prob_facts", "max_undefined"])
-def test_engines_refuse_negative_cap_before_any_work(cap):
-    olon = parse_program(programs.OLON_LOOP + "0.5::x.\n")
-    for engine in (credal_bounds_enumeration, credal_bounds_2amc):
-        with pytest.raises(ValueError, match=f"^{cap} must be at least 0, got -1$"):
-            engine(olon, parse_query("p"), **{cap: -1})
-
-
 def test_engine_refuses_olon():
     p = parse_program(programs.OLON_LOOP + "0.5::x.\n")
     with pytest.raises(OlonError):
-        credal_bounds_enumeration(p, parse_query("p"))
+        solve_query(p, parse_query("p"), mode="direct", engine="enum")
 
 
 def test_timeout_raises():
@@ -206,7 +198,7 @@ def test_timeout_raises():
         return float(next(ticks))
 
     with pytest.raises(SolveTimeout):
-        credal_bounds_enumeration(p, Q_PATH, deadline=2.0, clock=clock)
+        solve_query(p, Q_PATH, mode="direct", engine="enum", deadline=2.0, clock=clock)
 
 
 def test_timeout_inside_one_component():
@@ -287,7 +279,8 @@ def test_timeout_inside_the_witness_search():
         return float(reads)
 
     with pytest.raises(SolveTimeout) as exc:
-        credal_bounds_2amc(p, parse_query("q"), deadline=20.0, clock=clock)
+        solve_query(p, parse_query("q"), mode="direct", engine="twoamc",
+                    deadline=20.0, clock=clock)
     assert "answer-set search" in str(exc.value)
     frames = [entry.name for entry in exc.traceback]
     assert frames[-1] == "_search" and "query_witnesses" in frames

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -7,7 +8,7 @@ from credal.ground import (CallGraph, OlonError, OlonWitness, build_call_graph,
                            dot_call_graph, dot_dependency_graph,
                            ground_program, reachable_atoms)
 from credal.bench import gen_reach_grid
-from credal.bounds import credal_bounds_2amc, credal_bounds_enumeration, solve_query
+from credal.bounds import solve_query
 from credal.residual import encode_probabilistic_facts, extract_residual
 from credal.syntax import Atom, Program, Query, Rule, parse_program, parse_query
 from credal.wfs import wfm
@@ -16,6 +17,10 @@ import programs
 from corpus import (derivable_ground, enumerate_answer_sets, has_odd_cycle,
                     make_corpus, naive_ground, random_pasp,
                     random_pasp_with_fact_heads, relevant_subprogram)
+
+# each engine on the program as given, called like extract_residual
+DIRECT = {engine: functools.partial(solve_query, mode="direct", engine=engine)
+          for engine in ("enum", "twoamc")}
 
 
 def atoms(*names):
@@ -200,7 +205,7 @@ def test_detect_olon_on_program_agrees_with_encoded_program():
         if not any(_on_odd_loop(graph, pf.atom.signature) for pf in program.prob_facts):
             assert witness == encoded, program
             same += witness is not None
-        for check in (extract_residual, credal_bounds_enumeration):
+        for check in (extract_residual, DIRECT["enum"]):
             if witness is None:
                 check(program, Query(Atom("p")))
             else:
@@ -231,7 +236,7 @@ def test_olon_witness_is_first_predicate_on_an_odd_loop():
     program = parse_program("0.5::e(a).\ne(b) :- not e(b).\nd :- not d.\n")
     message = "odd loop over negation: d/0 -[-]-> d/0"
     assert detect_olon(build_call_graph(program)) == OlonWitness((("d", 0),), ("-",))
-    for check in (extract_residual, credal_bounds_enumeration, credal_bounds_2amc):
+    for check in (extract_residual, DIRECT["enum"], DIRECT["twoamc"]):
         with pytest.raises(OlonError) as exc:
             check(program, parse_query("d"))
         assert str(exc.value) == message

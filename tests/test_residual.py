@@ -1,6 +1,6 @@
 import pytest
 
-from credal.bounds import credal_bounds_enumeration, solve_query
+from credal.bounds import solve_query
 from credal.ground import (GroundProgram, OlonError, build_dependency_graph,
                            ground_program, reachable_atoms)
 from credal.residual import (CERTAIN_FALSE, CERTAIN_TRUE, UNDEFINED,
@@ -184,8 +184,9 @@ def test_projected_answer_sets_match_residual(corpus200):
 
 def test_residual_preserves_bounds(corpus200):
     for program, query in corpus200[:80]:
-        direct = credal_bounds_enumeration(program, query)
-        via = credal_bounds_enumeration(extract_residual(program, query).program, query)
+        direct, _ = solve_query(program, query, mode="direct", engine="enum")
+        via, _ = solve_query(extract_residual(program, query).program, query,
+                             mode="direct", engine="enum")
         assert repr(direct) == repr(via)
 
 
